@@ -6,7 +6,11 @@
 // as the `fault_sweep_acceptance` ctest.
 //
 // Usage: fault_sweep [--ops N] [--seed S] [--dim K] [--grid-bits B]
-//                    [--deep-every N]
+//                    [--deep-every N] [--mvcc]
+//
+// --mvcc sweeps the tree in MVCC mode (EnableMvcc), where every edited node
+// is a copy-on-write clone; without it the plain tree edits in place. Both
+// modes share every rollback site, so each needs the full sweep.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +63,8 @@ int main(int argc, char** argv) {
           static_cast<uint32_t>(ParseU64("--grid-bits", value()));
     } else if (arg == "--deep-every") {
       opts.deep_every = ParseU64("--deep-every", value());
+    } else if (arg == "--mvcc") {
+      opts.mvcc = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
@@ -67,11 +73,11 @@ int main(int argc, char** argv) {
 
   const FaultSweepReport report = RunFaultSweep(opts);
   std::printf(
-      "fault_sweep: seed=%llu dim=%u grid_bits=%u ops=%zu "
+      "fault_sweep: mode=%s seed=%llu dim=%u grid_bits=%u ops=%zu "
       "injected_failures=%zu absorbed_faults=%zu deep_checks=%zu\n",
-      static_cast<unsigned long long>(opts.seed), opts.commands.dim,
-      opts.commands.grid_bits, report.ops_run, report.injected_failures,
-      report.absorbed_faults, report.deep_checks);
+      opts.mvcc ? "mvcc" : "plain", static_cast<unsigned long long>(opts.seed),
+      opts.commands.dim, opts.commands.grid_bits, report.ops_run,
+      report.injected_failures, report.absorbed_faults, report.deep_checks);
   if (!report.ok()) {
     std::fprintf(stderr, "ROLLBACK VIOLATION: %s\n", report.failure.c_str());
     return 1;

@@ -6,14 +6,6 @@
 #include <new>
 
 namespace phtree {
-namespace {
-
-// Estimated allocator overhead per heap block, used for heap-backed nodes
-// only (glibc malloc: 8-16 bytes header + alignment). Arena-backed nodes
-// report exact bytes instead.
-constexpr uint64_t kAllocOverhead = 16;
-
-}  // namespace
 
 Node::Node(uint32_t dim, uint32_t infix_len, uint32_t postfix_len,
            bool store_values, WordPool* pool)
@@ -621,17 +613,24 @@ bool Node::TryRelocatePostfix(uint64_t old_addr, uint64_t new_addr,
   // back; if that shrink would trade the backing block, the grow-back would
   // need a fresh allocation and could fail mid-flight. Occupancy and the
   // representation policy inputs are otherwise unchanged, so staying in the
-  // current block makes the whole move infallible.
+  // current block makes the in-place move infallible.
   const uint64_t mid_bits = ReprBitsEx(repr_, uint64_t{num_entries_} - 1,
                                        num_postfixes() - 1, infix_bits());
   // mid_bits == 0 (single-entry root, zero infix): the shrink would release
   // the pooled block outright, making the grow-back fallible.
-  if (mid_bits == 0 || bits_.ResizeWouldRelocate(mid_bits)) {
-    return false;
+  if (mid_bits != 0 && !bits_.ResizeWouldRelocate(mid_bits)) {
+    RemoveEntryInPlace(old_addr);
+    InsertPostfixInPlace(new_addr, key, value);
+    return true;
   }
-  RemoveEntryInPlace(old_addr);
-  InsertPostfixInPlace(new_addr, key, value);
-  return true;
+  // Otherwise rebuild the stream with the entry moved, in one commit.
+  EntryDelta d;
+  d.kind = EntryDelta::Kind::kRelocatePostfix;
+  d.addr = new_addr;
+  d.from_addr = old_addr;
+  d.key = key.data();
+  d.payload = value;
+  return TryRebuild(repr_, d);
 }
 
 // ---- Representation switching ------------------------------------------
@@ -779,6 +778,8 @@ bool Node::TryRebuild(Repr target, const EntryDelta& delta) {
     case K::kToPostfix:
       --ns2;
       break;
+    case K::kRelocatePostfix:
+      break;
   }
   assert(target != Repr::kBhc || ns2 == 0);
   const uint64_t np2 = n2 - ns2;
@@ -907,11 +908,15 @@ bool Node::TryRebuild(Repr target, const EntryDelta& delta) {
     }
     ++idx;
   };
-  bool pending_insert =
-      delta.kind == K::kInsertPostfix || delta.kind == K::kInsertSub;
+  bool pending_insert = delta.kind == K::kInsertPostfix ||
+                        delta.kind == K::kInsertSub ||
+                        delta.kind == K::kRelocatePostfix;
   for (uint64_t ord = FirstOrdinal(); ord != kNoOrdinal;
        ord = NextOrdinal(ord)) {
     const uint64_t addr = OrdinalAddr(ord);
+    if (delta.kind == K::kRelocatePostfix && addr == delta.from_addr) {
+      continue;
+    }
     if (pending_insert && delta.addr < addr) {
       emit(delta.addr, delta.kind == K::kInsertSub, delta.payload, delta.key,
            kNoOrdinal);
@@ -950,19 +955,11 @@ bool Node::TryRebuild(Repr target, const EntryDelta& delta) {
 // ---- Accounting ---------------------------------------------------------
 
 uint64_t Node::MemoryBytes() const {
-  if (bits_.pool() != nullptr) {
-    // Exact: the arena slot plus the granted size-class block (a pure
-    // function of the stored bits — see BitBuffer::Resize). Summed over all
-    // nodes this equals NodeArena::LiveBytes() — the space tables measure
-    // the allocator instead of modelling it.
-    return sizeof(Node) + bits_.MemoryBytes();
-  }
-  // Heap mode (ablation): the historical estimate — logical buffer size
-  // plus a per-allocation overhead guess. Uses the logical size, not the
-  // heap block's capacity, because the latter depends on growth history.
-  const uint64_t words = (bits_.size_bits() + 63) / 64;
-  const uint64_t buf = words == 0 ? 0 : words * 8 + kAllocOverhead;
-  return sizeof(Node) + kAllocOverhead + buf;
+  // Exact for arena nodes: the arena slot plus the granted size-class block
+  // (a pure function of the stored bits — see BitBuffer::Resize). Summed
+  // over all nodes this equals NodeArena::LiveBytes() — the space tables
+  // measure the allocator instead of modelling it.
+  return sizeof(Node) + bits_.MemoryBytes();
 }
 
 }  // namespace phtree

@@ -30,11 +30,10 @@
 
 namespace phtree {
 
-/// 32-bit arena handle of a Node. Pooled arenas encode slab index and slot
-/// offset; heap arenas index a handle table. Half the width of a Node*, so
-/// in-node child slots cost 32 bits, and nodes never store raw pointers to
-/// each other (making them relocatable in principle). Resolved through
-/// NodeArena::NodeAt.
+/// 32-bit arena handle of a Node, encoding slab index and slot offset.
+/// Half the width of a Node*, so in-node child slots cost 32 bits, and
+/// nodes never store raw pointers to each other (making them relocatable
+/// in principle). Resolved through NodeArena::NodeAt.
 using NodeHandle = uint32_t;
 
 /// Sentinel handle meaning "no node".
@@ -235,22 +234,20 @@ class Node {
 
   /// Moves the postfix entry at `old_addr` to the free address `new_addr`,
   /// giving it postfix bits from `key` and payload `value`. Occupancy is
-  /// unchanged, so the final stream is exactly the pre-call size — the only
-  /// fallible step would be the transient one-entry-smaller stream trading
-  /// to a different pool block between the remove and the reinsert. Returns
-  /// false without touching the node when that intermediate shrink would
-  /// relocate (the caller falls back to erase+insert); otherwise commits
-  /// in place and cannot fail.
+  /// unchanged, so the final stream is exactly the pre-call size. When the
+  /// transient one-entry-smaller stream of a remove-then-reinsert keeps the
+  /// current pool block, the move happens in place and cannot fail;
+  /// otherwise the stream is rebuilt with the entry moved (TryRebuild),
+  /// which returns false — node untouched — only if the new block cannot
+  /// be allocated.
   [[nodiscard]] bool TryRelocatePostfix(uint64_t old_addr, uint64_t new_addr,
                                         std::span<const uint64_t> key,
                                         uint64_t value);
 
   // ---- Accounting ---------------------------------------------------------
 
-  /// Bytes owned by this node. Arena-backed nodes (pool != nullptr) report
-  /// exact bytes: the slab slot plus the granted word-pool block. Heap
-  /// nodes fall back to the historical estimate with a per-allocation
-  /// overhead constant (see DESIGN.md, space accounting).
+  /// Bytes owned by this node: the node object plus its bit-stream block.
+  /// Exact for tree nodes, whose block is the granted word-pool block.
   uint64_t MemoryBytes() const;
 
   /// Exact bit sizes each representation would need for the current
@@ -372,9 +369,12 @@ class Node {
       kRemove,         ///< drop entry `addr`
       kToSub,          ///< postfix at `addr` becomes sub (payload = handle)
       kToPostfix,      ///< sub at `addr` becomes postfix (key/payload)
+      kRelocatePostfix,  ///< postfix at `from_addr` moves to free `addr`
+                         ///< with new key/payload
     };
     Kind kind = Kind::kNone;
     uint64_t addr = 0;
+    uint64_t from_addr = 0;  ///< kRelocatePostfix source
     const uint64_t* key = nullptr;  ///< postfix source (kInsertPostfix/kToPostfix)
     uint64_t payload = 0;           ///< value or child handle
     bool new_infix = false;         ///< also replace the infix region

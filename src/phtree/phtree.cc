@@ -25,29 +25,170 @@ void CopyKey(std::span<const uint64_t> src, std::span<uint64_t> dst) {
   }
 }
 
+/// Scope of one public mutation. In an MVCC tree the writer pins the epoch
+/// for the whole mutation — the advance scan's load of this slot's exit
+/// store is what orders the publication before any later reclamation (see
+/// EpochManager) — and reclaims once unpinned. A plain tree has no epoch
+/// manager and the pin does nothing.
+class WriterPin {
+ public:
+  explicit WriterPin(NodeArena* arena)
+      : arena_(arena),
+        epochs_(arena != nullptr ? arena->epoch_manager() : nullptr),
+        slot_(epochs_ != nullptr ? epochs_->Enter() : 0) {}
+  ~WriterPin() {
+    if (epochs_ != nullptr) {
+      epochs_->Exit(slot_);
+      arena_->Reclaim();
+    }
+  }
+  WriterPin(const WriterPin&) = delete;
+  WriterPin& operator=(const WriterPin&) = delete;
+
+ private:
+  NodeArena* arena_;
+  EpochManager* epochs_;
+  uint32_t slot_;
+};
+
 }  // namespace
 
+// ---- The mutation path ----------------------------------------------------
+//
+// Insert, Erase and Update each make one iterative descent that records the
+// (node, sub-ordinal) frames it passes, then run one structural case. A case
+// never edits a live node directly: it asks Writable() for the node to edit —
+// the live node itself in a plain tree, a private clone in an MVCC tree —
+// and makes the single fallible edit of that node its last fallible step,
+// after every fresh node it needs is completely built. A failure before
+// that edit drops the Edit, which deletes the fresh nodes (never linked
+// in); the edit itself is commit-or-rollback. Either way the tree stays
+// bit-identical to its pre-call state. Commit() then links the result in —
+// nothing to do for an in-place edit, one child-handle or root store
+// otherwise — and retires every unlinked node: deleted at once without an
+// epoch manager, epoch-deferred with one. The paper's at-most-two-touched-
+// nodes bound (Sect. 3.6) keeps every case to at most two writable nodes.
+
+/// One level of a recorded descent: `ord` is the sub entry of `node` the
+/// descent followed — the slot a replacement child is published to. No
+/// member initializers: a descent keeps a kBitWidth-deep stack of frames
+/// and fills only the levels it visits.
+struct PhTree::PathFrame {
+  Node* node;
+  NodeHandle handle;
+  uint64_t ord;
+};
+
+/// The nodes one mutation allocated and the live nodes it unlinks. An edit
+/// destroyed uncommitted (every failure path) deletes the nodes it
+/// allocated; Commit() retires the unlinked ones instead.
+class PhTree::Edit {
+ public:
+  explicit Edit(NodeArena* arena) : arena_(arena) {}
+  ~Edit() {
+    if (!committed_) {
+      for (uint32_t i = 0; i < n_created_; ++i) {
+        arena_->DeleteNode(Ref(created_[i]));
+      }
+    }
+  }
+  Edit(const Edit&) = delete;
+  Edit& operator=(const Edit&) = delete;
+
+  void Created(NodeHandle h) {
+    assert(n_created_ < kMaxNodes);
+    created_[n_created_++] = h;
+  }
+  void Unlinked(NodeHandle h) {
+    assert(n_unlinked_ < kMaxNodes);
+    unlinked_[n_unlinked_++] = h;
+  }
+  void Commit() {
+    committed_ = true;
+    for (uint32_t i = 0; i < n_unlinked_; ++i) {
+      arena_->RetireNode(Ref(unlinked_[i]));
+    }
+  }
+
+ private:
+  /// Two nodes per case plus one clone per ancestor a publication climbs.
+  static constexpr uint32_t kMaxNodes = kBitWidth + 2;
+
+  NodeRef Ref(NodeHandle h) const { return NodeRef{arena_->NodeAt(h), h}; }
+
+  NodeArena* arena_;
+  // Handles rather than NodeRefs: left uninitialized like the path stack.
+  NodeHandle created_[kMaxNodes];
+  NodeHandle unlinked_[kMaxNodes];
+  uint32_t n_created_ = 0;
+  uint32_t n_unlinked_ = 0;
+  bool committed_ = false;
+};
+
+NodeRef PhTree::Writable(NodeRef node, Edit* edit) {
+  if (arena_->epoch_manager() == nullptr) {
+    return node;
+  }
+  NodeRef copy = NewNode(node.ptr->infix_len(), node.ptr->postfix_len());
+  if (!copy) {
+    return NodeRef{};
+  }
+  edit->Created(copy.handle);
+  if (!copy.ptr->TryAssignFrom(*node.ptr)) {
+    return NodeRef{};
+  }
+  edit->Unlinked(node.handle);
+  return copy;
+}
+
+bool PhTree::Commit(NodeRef replacement, NodeRef replaced,
+                    const PathFrame* path, size_t depth, Edit* edit) {
+  if (replacement.ptr != replaced.ptr) {
+    // Link `replacement` into the slot `replaced` hangs from: path[depth-1]
+    // or, at depth 0, the root. A key-only HC ancestor keeps sub handles in
+    // an unaligned tail that one atomic store cannot republish, so under
+    // MVCC its clone takes the new handle and the climb goes on (ending at
+    // the root pointer at the latest); a plain tree edits it in place.
+    size_t i = depth;
+    for (; i > 0; --i) {
+      const PathFrame& f = path[i - 1];
+      if (f.node->CanPublishSubAt(f.ord)) {
+        f.node->PublishSubAt(f.ord, replacement.handle);
+        break;
+      }
+      const NodeRef w = Writable(NodeRef{f.node, f.handle}, edit);
+      if (!w) {
+        return false;
+      }
+      w.ptr->SetSubAt(f.ord, replacement.handle);
+      if (w.ptr == f.node) {
+        break;
+      }
+      replacement = w;
+    }
+    if (i == 0) {
+      SetRoot(replacement);
+    }
+  }
+  edit->Commit();
+  return true;
+}
+
 PhTree::PhTree(uint32_t dim, const PhTreeConfig& config)
-    : dim_(dim),
-      config_(config),
-      arena_(std::make_unique<NodeArena>(config.use_arena)) {
+    : dim_(dim), config_(config), arena_(std::make_unique<NodeArena>()) {
   assert(dim >= 1 && dim <= kMaxDims);
 }
 
-PhTree::~PhTree() {
-  // Destruction is never concurrent with readers (wrappers quiesce through
-  // the epoch manager before deleting a tree), so even an MVCC tree may
-  // tear down with the wholesale O(slabs) arena reset.
-  cow_ = false;
-  Clear();
-}
+// Destruction is never concurrent with readers (wrappers quiesce through the
+// epoch manager before deleting a tree), so the arena releases every node —
+// retired ones included — wholesale, without a tree walk.
+PhTree::~PhTree() = default;
 
 PhTree::PhTree(PhTree&& other) noexcept
     : dim_(other.dim_),
       config_(other.config_),
       size_(other.size_.load(std::memory_order_relaxed)),
       update_stats_(other.update_stats_),
-      cow_(other.cow_),
       root_(other.root_),
       root_ptr_(other.root_.ptr),
       arena_(std::move(other.arena_)) {
@@ -57,19 +198,17 @@ PhTree::PhTree(PhTree&& other) noexcept
   other.root_ptr_.store(nullptr, std::memory_order_relaxed);
   other.size_.store(0, std::memory_order_relaxed);
   other.update_stats_ = PhUpdateStats{};
-  other.cow_ = false;
 }
 
 PhTree& PhTree::operator=(PhTree&& other) noexcept {
   if (this != &other) {
-    cow_ = false;  // moves are never concurrent with readers of *this
-    Clear();
+    // Moves are never concurrent with readers of *this: taking over the
+    // other arena releases the old one, and every node in it, wholesale.
     dim_ = other.dim_;
     config_ = other.config_;
     size_.store(other.size_.load(std::memory_order_relaxed),
                 std::memory_order_relaxed);
     update_stats_ = other.update_stats_;
-    cow_ = other.cow_;
     root_ = other.root_;
     root_ptr_.store(other.root_.ptr, std::memory_order_relaxed);
     arena_ = std::move(other.arena_);
@@ -77,46 +216,36 @@ PhTree& PhTree::operator=(PhTree&& other) noexcept {
     other.root_ptr_.store(nullptr, std::memory_order_relaxed);
     other.size_.store(0, std::memory_order_relaxed);
     other.update_stats_ = PhUpdateStats{};
-    other.cow_ = false;
   }
   return *this;
 }
 
 void PhTree::EnableMvcc(EpochManager* epochs) {
-  assert(arena_ != nullptr && arena_->pooled());
-  assert(epochs != nullptr);
+  assert(arena_ != nullptr && epochs != nullptr);
   arena_->SetEpochManager(epochs);
-  cow_ = true;
 }
 
 void PhTree::Clear() {
-  if (cow_) {
-    // Readers may be traversing: unpublish the root atomically, then
-    // retire the whole subtree through the epoch queue instead of the
-    // wholesale reset (which would recycle slots under the readers).
-    CowClear();
+  if (!mvcc_enabled()) {
+    if (arena_ != nullptr) {
+      // O(slabs): drop every node and word block wholesale; no tree walk.
+      arena_->Reset();
+    }
+    root_ = NodeRef{};
+    root_ptr_.store(nullptr, std::memory_order_relaxed);
+    size_.store(0, std::memory_order_relaxed);
     return;
   }
-  if (arena_ != nullptr && arena_->pooled()) {
-    // O(slabs): drop every node and word block wholesale; no tree walk.
-    arena_->Reset();
-  } else if (root_) {
-    DeleteSubtree(root_);
-  }
-  root_ = NodeRef{};
-  root_ptr_.store(nullptr, std::memory_order_relaxed);
-  size_.store(0, std::memory_order_relaxed);
-}
-
-void PhTree::CowClear() {
+  // Readers may be traversing: unpublish the root atomically, then retire
+  // the whole subtree through the epoch queue instead of the wholesale
+  // reset (which would recycle slots under the readers).
+  WriterPin pin(arena_.get());
   const NodeRef old_root = root_;
   SetRoot(NodeRef{});
   size_.store(0, std::memory_order_relaxed);
   if (old_root) {
-    EpochManager::ReadGuard guard(*arena_->epoch_manager());
     RetireSubtree(old_root);
   }
-  arena_->Reclaim();
 }
 
 void PhTree::RetireSubtree(NodeRef node) {
@@ -139,20 +268,9 @@ void PhTree::ReserveNodes(size_t n) {
 NodeRef PhTree::NewNode(uint32_t infix_len, uint32_t postfix_len) {
   if (arena_ == nullptr) {
     // Moved-from tree being refilled: give it a fresh arena.
-    arena_ = std::make_unique<NodeArena>(config_.use_arena);
+    arena_ = std::make_unique<NodeArena>();
   }
   return arena_->NewNode(dim_, infix_len, postfix_len, config_.store_values);
-}
-
-void PhTree::DeleteSubtree(NodeRef node) {
-  for (uint64_t ord = node.ptr->FirstOrdinal(); ord != Node::kNoOrdinal;
-       ord = node.ptr->NextOrdinal(ord)) {
-    if (node.ptr->OrdinalIsSub(ord)) {
-      const NodeHandle ch = node.ptr->OrdinalSub(ord);
-      DeleteSubtree(NodeRef{arena_->NodeAt(ch), ch});
-    }
-  }
-  arena_->DeleteNode(node);
 }
 
 bool PhTree::Insert(std::span<const uint64_t> key, uint64_t value) {
@@ -173,18 +291,29 @@ bool PhTree::InsertOrAssign(std::span<const uint64_t> key, uint64_t value) {
 
 OpStatus PhTree::TryInsert(std::span<const uint64_t> key, uint64_t value) {
   assert(key.size() == dim_);
-  if (cow_) {
-    OpStatus st;
-    {
-      // The writer pins the epoch too: the advance scan's load of this
-      // slot's exit store is what orders the publication before any later
-      // reclamation (see EpochManager).
-      EpochManager::ReadGuard guard(*arena_->epoch_manager());
-      st = CowInsert(key, value, /*assign=*/false);
+  WriterPin pin(arena_.get());
+  return InsertImpl(key, value, /*assign=*/false);
+}
+
+OpStatus PhTree::TryInsertOrAssign(std::span<const uint64_t> key,
+                                   uint64_t value) {
+  assert(key.size() == dim_);
+  WriterPin pin(arena_.get());
+  return InsertImpl(key, value, /*assign=*/true);
+}
+
+size_t PhTree::BulkLoad(std::span<const PhEntry> entries) {
+  size_t inserted = 0;
+  for (const PhEntry& e : entries) {
+    if (Insert(e.key, e.value)) {
+      ++inserted;
     }
-    arena_->Reclaim();
-    return st;
   }
+  return inserted;
+}
+
+OpStatus PhTree::InsertImpl(std::span<const uint64_t> key, uint64_t value,
+                            bool assign) {
   if (!root_) {
     // Build the root off-tree; publish (SetRoot) only once it is complete.
     NodeRef r = NewNode(/*infix_len=*/0, /*postfix_len=*/kBitWidth - 1);
@@ -200,144 +329,108 @@ OpStatus PhTree::TryInsert(std::span<const uint64_t> key, uint64_t value) {
     size_.store(1, std::memory_order_relaxed);
     return OpStatus::kApplied;
   }
-  NodeRef new_root{};
-  const OpStatus st = InsertRec(root_, key, value, /*assign=*/false,
-                                &new_root);
-  if (st == OpStatus::kApplied) {
-    assert(new_root.ptr == root_.ptr);  // the root has no infix, never splits
-    SetRoot(new_root);
-    size_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return st;
-}
+  PathFrame path[kBitWidth];
+  size_t depth = 0;
+  NodeRef node = root_;
+  Edit edit(arena_.get());
+  NodeRef replacement{};
+  for (;;) {
+    const int mis = node.ptr->MatchInfix(key);
+    if (mis >= 0) {
+      // Infix split (paper Sect. 3.6): the key diverges from this node's
+      // infix at key bit `mis`, so a new parent at that depth takes the
+      // node's place, holding the node with its infix trimmed plus the new
+      // postfix. The parent is complete before the trim, the one edit of
+      // the writable node.
+      const uint32_t pl = node.ptr->postfix_len();
+      const uint32_t il = node.ptr->infix_len();
+      KeyBuf rep;
+      CopyKey(key, rep.span(dim_));
+      node.ptr->ReadInfixInto(rep.span(dim_));
+      const uint64_t addr_node = HcAddressAt(rep.span(dim_), mis);
+      const uint64_t addr_key = HcAddressAt(key, mis);
+      assert(addr_node != addr_key);
 
-OpStatus PhTree::TryInsertOrAssign(std::span<const uint64_t> key,
-                                   uint64_t value) {
-  assert(key.size() == dim_);
-  if (cow_) {
-    OpStatus st;
-    {
-      EpochManager::ReadGuard guard(*arena_->epoch_manager());
-      st = CowInsert(key, value, /*assign=*/true);
+      const NodeRef parent = NewNode(pl + il - static_cast<uint32_t>(mis),
+                                     static_cast<uint32_t>(mis));
+      if (!parent) {
+        return OpStatus::kNoMem;
+      }
+      edit.Created(parent.handle);
+      parent.ptr->SetInfixFromKey(key);
+      const NodeRef trimmed = Writable(node, &edit);
+      if (!trimmed ||
+          !parent.ptr->TryInsertSub(addr_node, trimmed.handle, config_) ||
+          !parent.ptr->TryInsertPostfix(addr_key, key, value, config_) ||
+          !trimmed.ptr->TryTrimInfixToLow(static_cast<uint32_t>(mis) - 1 - pl,
+                                          config_)) {
+        return OpStatus::kNoMem;
+      }
+      replacement = parent;
+      break;
     }
-    arena_->Reclaim();
-    return st;
-  }
-  if (!root_) {
-    return TryInsert(key, value);
-  }
-  NodeRef new_root{};
-  const OpStatus st = InsertRec(root_, key, value, /*assign=*/true,
-                                &new_root);
-  if (st == OpStatus::kApplied) {
-    SetRoot(new_root);
-    size_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return st;
-}
-
-size_t PhTree::BulkLoad(std::span<const PhEntry> entries) {
-  size_t inserted = 0;
-  for (const PhEntry& e : entries) {
-    if (Insert(e.key, e.value)) {
-      ++inserted;
+    const uint64_t addr = HcAddressAt(key, node.ptr->postfix_len());
+    const uint64_t ord = node.ptr->FindOrdinal(addr);
+    if (ord == Node::kNoOrdinal) {
+      // Free slot: the entry lands in the writable node.
+      replacement = Writable(node, &edit);
+      if (!replacement ||
+          !replacement.ptr->TryInsertPostfix(addr, key, value, config_)) {
+        return OpStatus::kNoMem;
+      }
+      break;
     }
-  }
-  return inserted;
-}
-
-OpStatus PhTree::InsertRec(NodeRef node, std::span<const uint64_t> key,
-                           uint64_t value, bool assign, NodeRef* out) {
-  *out = node;
-  const int mis = node.ptr->MatchInfix(key);
-  if (mis >= 0) {
-    // The key diverges from this node's infix at key bit `mis`: split the
-    // node by inserting a new parent at that depth (paper Sect. 3.6; this
-    // plus the entry insertion below are the "at most two nodes" touched).
-    //
-    // Failure atomicity: the new parent is fully assembled off-tree first
-    // (its failures cost nothing but the node itself), and trimming `node`'s
-    // infix — the only mutation of live state — comes last. TryTrimInfixToLow
-    // is itself commit-or-rollback, so a failure at any point leaves the
-    // tree bit-identical; after it commits only infallible steps remain
-    // (the caller's SetSubAt handle swap).
+    if (node.ptr->OrdinalIsSub(ord)) {
+      assert(depth < kBitWidth);
+      path[depth++] = PathFrame{node.ptr, node.handle, ord};
+      const NodeHandle ch = node.ptr->OrdinalSub(ord);
+      node = NodeRef{arena_->NodeAt(ch), ch};
+      continue;
+    }
+    const int div = node.ptr->PostfixDivergence(ord, key);
+    if (div < 0) {
+      // Exact duplicate: a payload overwrite is one atomic store into an
+      // aligned value slot, so it stays in place in both modes.
+      if (assign) {
+        node.ptr->PublishPayloadAt(ord, value);
+      }
+      return OpStatus::kNoop;
+    }
+    // Postfix collision: both keys share bits (div, postfix_len) below this
+    // node, so a fresh child at depth `div` holds the two postfixes. It is
+    // complete before the colliding entry of the writable node becomes its
+    // sub.
     const uint32_t pl = node.ptr->postfix_len();
-    const uint32_t il = node.ptr->infix_len();
-    KeyBuf rep;
-    CopyKey(key, rep.span(dim_));
-    node.ptr->ReadInfixInto(rep.span(dim_));
-    const uint64_t addr_node = HcAddressAt(rep.span(dim_), mis);
-    const uint64_t addr_key = HcAddressAt(key, mis);
-    assert(addr_node != addr_key);
-
-    NodeRef parent = NewNode(pl + il - static_cast<uint32_t>(mis),
-                             static_cast<uint32_t>(mis));
-    if (!parent) {
+    KeyBuf old_key;
+    CopyKey(key, old_key.span(dim_));
+    node.ptr->ReadPostfixInto(ord, old_key.span(dim_));
+    const uint64_t old_value = node.ptr->OrdinalPayload(ord);
+    const NodeRef child = NewNode(pl - 1 - static_cast<uint32_t>(div),
+                                  static_cast<uint32_t>(div));
+    if (!child) {
       return OpStatus::kNoMem;
     }
-    parent.ptr->SetInfixFromKey(key);
-    if (!parent.ptr->TryInsertSub(addr_node, node.handle, config_) ||
-        !parent.ptr->TryInsertPostfix(addr_key, key, value, config_) ||
-        !node.ptr->TryTrimInfixToLow(static_cast<uint32_t>(mis) - 1 - pl,
+    edit.Created(child.handle);
+    child.ptr->SetInfixFromKey(key);
+    if (!child.ptr->TryInsertPostfix(HcAddressAt(old_key.span(dim_), div),
+                                     old_key.span(dim_), old_value,
+                                     config_) ||
+        !child.ptr->TryInsertPostfix(HcAddressAt(key, div), key, value,
                                      config_)) {
-      arena_->DeleteNode(parent);
       return OpStatus::kNoMem;
     }
-    *out = parent;
-    return OpStatus::kApplied;
-  }
-
-  const uint64_t addr = HcAddressAt(key, node.ptr->postfix_len());
-  const uint64_t ord = node.ptr->FindOrdinal(addr);
-  if (ord == Node::kNoOrdinal) {
-    return node.ptr->TryInsertPostfix(addr, key, value, config_)
-               ? OpStatus::kApplied
-               : OpStatus::kNoMem;
-  }
-  if (node.ptr->OrdinalIsSub(ord)) {
-    const NodeHandle ch = node.ptr->OrdinalSub(ord);
-    const NodeRef child{arena_->NodeAt(ch), ch};
-    NodeRef replacement{};
-    const OpStatus st = InsertRec(child, key, value, assign, &replacement);
-    if (st == OpStatus::kApplied && replacement.handle != ch) {
-      // `node` was not mutated since FindOrdinal, so `ord` is still valid.
-      node.ptr->SetSubAt(ord, replacement.handle);
+    replacement = Writable(node, &edit);
+    if (!replacement ||
+        !replacement.ptr->TryReplaceEntryWithSub(addr, child.handle,
+                                                 config_)) {
+      return OpStatus::kNoMem;
     }
-    return st;
+    break;
   }
-  // Postfix collision.
-  const int div = node.ptr->PostfixDivergence(ord, key);
-  if (div < 0) {
-    // Exact duplicate.
-    if (assign) {
-      node.ptr->SetPayloadAt(ord, value);
-    }
-    return OpStatus::kNoop;
-  }
-  // Both keys share bits (div, postfix_len) below this node; create a child
-  // at depth `div` holding the two postfixes. The child is fully built
-  // off-tree; TryReplaceEntryWithSub is the single fallible step that
-  // touches `node`, so failure anywhere unwinds to the pre-call tree.
-  const uint32_t pl = node.ptr->postfix_len();
-  KeyBuf old_key;
-  CopyKey(key, old_key.span(dim_));
-  node.ptr->ReadPostfixInto(ord, old_key.span(dim_));
-  const uint64_t old_value = node.ptr->OrdinalPayload(ord);
-
-  NodeRef child = NewNode(pl - 1 - static_cast<uint32_t>(div),
-                          static_cast<uint32_t>(div));
-  if (!child) {
+  if (!Commit(replacement, node, path, depth, &edit)) {
     return OpStatus::kNoMem;
   }
-  child.ptr->SetInfixFromKey(key);
-  if (!child.ptr->TryInsertPostfix(HcAddressAt(old_key.span(dim_), div),
-                                   old_key.span(dim_), old_value, config_) ||
-      !child.ptr->TryInsertPostfix(HcAddressAt(key, div), key, value,
-                                   config_) ||
-      !node.ptr->TryReplaceEntryWithSub(addr, child.handle, config_)) {
-    arena_->DeleteNode(child);
-    return OpStatus::kNoMem;
-  }
+  size_.fetch_add(1, std::memory_order_relaxed);
   return OpStatus::kApplied;
 }
 
@@ -460,303 +553,15 @@ bool PhTree::Erase(std::span<const uint64_t> key) {
 
 OpStatus PhTree::TryErase(std::span<const uint64_t> key) {
   assert(key.size() == dim_);
-  if (cow_) {
-    OpStatus st;
-    {
-      EpochManager::ReadGuard guard(*arena_->epoch_manager());
-      st = CowErase(key);
-    }
-    arena_->Reclaim();
-    return st;
-  }
+  WriterPin pin(arena_.get());
+  return EraseImpl(key);
+}
+
+OpStatus PhTree::EraseImpl(std::span<const uint64_t> key) {
   if (!root_) {
     return OpStatus::kNoop;
   }
-  const OpStatus st = EraseRec(nullptr, 0, root_, key);
-  if (st == OpStatus::kApplied) {
-    size_.fetch_sub(1, std::memory_order_relaxed);
-    if (root_.ptr->num_entries() == 0) {
-      arena_->DeleteNode(root_);
-      SetRoot(NodeRef{});
-    }
-  }
-  return st;
-}
-
-OpStatus PhTree::EraseRec(Node* parent, uint64_t addr_in_parent, NodeRef node,
-                          std::span<const uint64_t> key) {
-  if (node.ptr->MatchInfix(key) >= 0) {
-    return OpStatus::kNoop;
-  }
-  const uint64_t addr = HcAddressAt(key, node.ptr->postfix_len());
-  const uint64_t ord = node.ptr->FindOrdinal(addr);
-  if (ord == Node::kNoOrdinal) {
-    return OpStatus::kNoop;
-  }
-  if (node.ptr->OrdinalIsSub(ord)) {
-    const NodeHandle ch = node.ptr->OrdinalSub(ord);
-    return EraseRec(node.ptr, addr, NodeRef{arena_->NodeAt(ch), ch}, key);
-  }
-  if (node.ptr->PostfixDivergence(ord, key) >= 0) {
-    return OpStatus::kNoop;
-  }
-  // The key lives here. A removal that would leave a non-root node with a
-  // single entry is executed as a pre-planned merge instead of
-  // remove-then-restructure: `node` is deleted wholesale (never mutated)
-  // and its surviving entry is folded into `parent` — the paper's second
-  // affected node — with exactly one fallible step, placed before any
-  // mutation of live state. Failure atomicity falls out: either nothing has
-  // happened yet, or only infallible steps remain.
-  if (parent != nullptr && node.ptr->num_entries() == 2) {
-    uint64_t sord = node.ptr->FirstOrdinal();  // the surviving entry
-    if (sord == ord) {
-      sord = node.ptr->NextOrdinal(sord);
-    }
-    const uint64_t saddr = node.ptr->OrdinalAddr(sord);
-    if (node.ptr->OrdinalIsSub(sord)) {
-      // Splice: the grandchild absorbs `node`'s infix and address bit
-      // (commit-or-rollback), then the parent's child slot is repointed.
-      const NodeHandle gh = node.ptr->OrdinalSub(sord);
-      if (!arena_->NodeAt(gh)->TryAbsorbParentInfix(*node.ptr, saddr,
-                                                    config_)) {
-        return OpStatus::kNoMem;
-      }
-      const uint64_t pord = parent->FindOrdinal(addr_in_parent);
-      parent->SetSubAt(pord, gh);
-      arena_->DeleteNode(node);
-      return OpStatus::kApplied;
-    }
-    // Merge: rebuild the surviving entry's bits below `parent` (node infix +
-    // node address bit + node postfix) and store them as a parent postfix.
-    KeyBuf buf;
-    for (uint32_t d = 0; d < dim_; ++d) {
-      buf.data[d] = 0;
-    }
-    node.ptr->ReadPostfixInto(sord, buf.span(dim_));
-    ApplyHcAddress(saddr, node.ptr->postfix_len(), buf.span(dim_));
-    node.ptr->ReadInfixInto(buf.span(dim_));
-    const uint64_t value = node.ptr->OrdinalPayload(sord);
-    if (!parent->TryReplaceSubWithPostfix(addr_in_parent, buf.span(dim_),
-                                          value, config_)) {
-      return OpStatus::kNoMem;
-    }
-    arena_->DeleteNode(node);
-    return OpStatus::kApplied;
-  }
-  return node.ptr->TryRemoveEntry(addr, config_) ? OpStatus::kApplied
-                                                 : OpStatus::kNoMem;
-}
-
-// ---- Copy-on-write mutation path (MVCC mode) ------------------------------
-//
-// The paper's ≤2-touched-nodes guarantee makes COW publication cheap: every
-// structural mutation below replaces at most two reachable nodes. The shape
-// is always the same — descend along the key recording (node, sub-ordinal)
-// frames, build the replacement node(s) privately (the same fallible seams
-// as the in-place path: kArenaNodeAlloc for slots, kWordAlloc for streams),
-// then publish the replacement subtree with exactly ONE atomic store: a
-// child-handle slot in the deepest untouched ancestor, or the root pointer.
-// On any failure the private nodes are deleted directly (they were never
-// published) and the live tree is bit-identical to its pre-call state — the
-// historical commit-or-rollback contract. Replaced nodes are retired through
-// the arena's epoch queue, never freed inline.
-
-NodeRef PhTree::CowClone(const Node& src) {
-  NodeRef copy = NewNode(src.infix_len(), src.postfix_len());
-  if (!copy) {
-    return NodeRef{};
-  }
-  if (!copy.ptr->TryAssignFrom(src)) {
-    arena_->DeleteNode(copy);
-    return NodeRef{};
-  }
-  return copy;
-}
-
-bool PhTree::CowPublish(NodeRef replacement, const CowFrame* path,
-                        size_t depth, NodeRef* created, size_t* n_created,
-                        NodeRef* retire, size_t* n_retire) {
-  // Climb the recorded path until a frame's child slot admits a single
-  // atomic store. A key-only HC ancestor keeps sub handles in an unaligned
-  // tail, so it cannot be republished in place: clone it, swing the handle
-  // in the private copy, and keep climbing (the cascade ends at the root
-  // pointer at the latest).
-  size_t i = depth;
-  while (i > 0) {
-    const CowFrame& f = path[i - 1];
-    if (f.node.ptr->CanPublishSubAt(f.ord)) {
-      f.node.ptr->PublishSubAt(f.ord, replacement.handle);
-      return true;
-    }
-    NodeRef pc = CowClone(*f.node.ptr);
-    if (!pc) {
-      return false;
-    }
-    created[(*n_created)++] = pc;
-    pc.ptr->SetSubAt(f.ord, replacement.handle);
-    retire[(*n_retire)++] = f.node;
-    replacement = pc;
-    --i;
-  }
-  SetRoot(replacement);
-  return true;
-}
-
-OpStatus PhTree::CowInsert(std::span<const uint64_t> key, uint64_t value,
-                           bool assign) {
-  if (!root_) {
-    NodeRef r = NewNode(/*infix_len=*/0, /*postfix_len=*/kBitWidth - 1);
-    if (!r) {
-      return OpStatus::kNoMem;
-    }
-    if (!r.ptr->TryInsertPostfix(HcAddressAt(key, kBitWidth - 1), key, value,
-                                 config_)) {
-      arena_->DeleteNode(r);
-      return OpStatus::kNoMem;
-    }
-    SetRoot(r);
-    size_.store(1, std::memory_order_relaxed);
-    return OpStatus::kApplied;
-  }
-  CowFrame path[kBitWidth];
-  size_t depth = 0;
-  NodeRef created[kBitWidth + 2];
-  size_t n_created = 0;
-  NodeRef retire[kBitWidth + 2];
-  size_t n_retire = 0;
-  NodeRef node = root_;
-  NodeRef replacement{};
-  bool fail = false;
-  for (;;) {
-    const int mis = node.ptr->MatchInfix(key);
-    if (mis >= 0) {
-      // Infix split (paper Sect. 3.6), COW form: a trimmed clone of `node`
-      // plus a fresh parent holding {clone, new postfix}; the live node is
-      // never touched and is retired after publication.
-      const uint32_t pl = node.ptr->postfix_len();
-      const uint32_t il = node.ptr->infix_len();
-      KeyBuf rep;
-      CopyKey(key, rep.span(dim_));
-      node.ptr->ReadInfixInto(rep.span(dim_));
-      const uint64_t addr_node = HcAddressAt(rep.span(dim_), mis);
-      const uint64_t addr_key = HcAddressAt(key, mis);
-      assert(addr_node != addr_key);
-
-      NodeRef trimmed = CowClone(*node.ptr);
-      if (!trimmed) {
-        fail = true;
-        break;
-      }
-      created[n_created++] = trimmed;
-      NodeRef parent = NewNode(pl + il - static_cast<uint32_t>(mis),
-                               static_cast<uint32_t>(mis));
-      if (!parent) {
-        fail = true;
-        break;
-      }
-      created[n_created++] = parent;
-      parent.ptr->SetInfixFromKey(key);
-      if (!trimmed.ptr->TryTrimInfixToLow(
-              static_cast<uint32_t>(mis) - 1 - pl, config_) ||
-          !parent.ptr->TryInsertSub(addr_node, trimmed.handle, config_) ||
-          !parent.ptr->TryInsertPostfix(addr_key, key, value, config_)) {
-        fail = true;
-        break;
-      }
-      retire[n_retire++] = node;
-      replacement = parent;
-      break;
-    }
-    const uint64_t addr = HcAddressAt(key, node.ptr->postfix_len());
-    const uint64_t ord = node.ptr->FindOrdinal(addr);
-    if (ord == Node::kNoOrdinal) {
-      // Plain insert: the entry lands in a clone of this node.
-      NodeRef copy = CowClone(*node.ptr);
-      if (!copy) {
-        fail = true;
-        break;
-      }
-      created[n_created++] = copy;
-      if (!copy.ptr->TryInsertPostfix(addr, key, value, config_)) {
-        fail = true;
-        break;
-      }
-      retire[n_retire++] = node;
-      replacement = copy;
-      break;
-    }
-    if (node.ptr->OrdinalIsSub(ord)) {
-      assert(depth < kBitWidth);
-      path[depth++] = CowFrame{node, ord};
-      const NodeHandle ch = node.ptr->OrdinalSub(ord);
-      node = NodeRef{arena_->NodeAt(ch), ch};
-      continue;
-    }
-    const int div = node.ptr->PostfixDivergence(ord, key);
-    if (div < 0) {
-      // Exact duplicate: payload overwrite is the one mutation that stays
-      // in place — a single atomic store into an aligned value slot.
-      if (assign) {
-        node.ptr->PublishPayloadAt(ord, value);
-      }
-      return OpStatus::kNoop;
-    }
-    // Postfix collision: fresh child holding both postfixes, plus a clone
-    // of `node` whose colliding entry becomes the sub.
-    const uint32_t pl = node.ptr->postfix_len();
-    KeyBuf old_key;
-    CopyKey(key, old_key.span(dim_));
-    node.ptr->ReadPostfixInto(ord, old_key.span(dim_));
-    const uint64_t old_value = node.ptr->OrdinalPayload(ord);
-    NodeRef child = NewNode(pl - 1 - static_cast<uint32_t>(div),
-                            static_cast<uint32_t>(div));
-    if (!child) {
-      fail = true;
-      break;
-    }
-    created[n_created++] = child;
-    child.ptr->SetInfixFromKey(key);
-    NodeRef copy = CowClone(*node.ptr);
-    if (!copy) {
-      fail = true;
-      break;
-    }
-    created[n_created++] = copy;
-    if (!child.ptr->TryInsertPostfix(HcAddressAt(old_key.span(dim_), div),
-                                     old_key.span(dim_), old_value,
-                                     config_) ||
-        !child.ptr->TryInsertPostfix(HcAddressAt(key, div), key, value,
-                                     config_) ||
-        !copy.ptr->TryReplaceEntryWithSub(addr, child.handle, config_)) {
-      fail = true;
-      break;
-    }
-    retire[n_retire++] = node;
-    replacement = copy;
-    break;
-  }
-  if (!fail) {
-    fail = !CowPublish(replacement, path, depth, created, &n_created, retire,
-                       &n_retire);
-  }
-  if (fail) {
-    for (size_t i = 0; i < n_created; ++i) {
-      arena_->DeleteNode(created[i]);  // never published: direct delete
-    }
-    return OpStatus::kNoMem;
-  }
-  for (size_t i = 0; i < n_retire; ++i) {
-    arena_->RetireNode(retire[i]);
-  }
-  size_.fetch_add(1, std::memory_order_relaxed);
-  return OpStatus::kApplied;
-}
-
-OpStatus PhTree::CowErase(std::span<const uint64_t> key) {
-  if (!root_) {
-    return OpStatus::kNoop;
-  }
-  CowFrame path[kBitWidth];
+  PathFrame path[kBitWidth];
   size_t depth = 0;
   NodeRef node = root_;
   uint64_t addr;
@@ -770,63 +575,52 @@ OpStatus PhTree::CowErase(std::span<const uint64_t> key) {
     if (ord == Node::kNoOrdinal) {
       return OpStatus::kNoop;
     }
-    if (node.ptr->OrdinalIsSub(ord)) {
-      assert(depth < kBitWidth);
-      path[depth++] = CowFrame{node, ord};
-      const NodeHandle ch = node.ptr->OrdinalSub(ord);
-      node = NodeRef{arena_->NodeAt(ch), ch};
-      continue;
+    if (!node.ptr->OrdinalIsSub(ord)) {
+      if (node.ptr->PostfixDivergence(ord, key) >= 0) {
+        return OpStatus::kNoop;
+      }
+      break;  // the key lives at postfix `ord` of `node`
     }
-    if (node.ptr->PostfixDivergence(ord, key) >= 0) {
-      return OpStatus::kNoop;
-    }
-    break;
+    assert(depth < kBitWidth);
+    path[depth++] = PathFrame{node.ptr, node.handle, ord};
+    const NodeHandle ch = node.ptr->OrdinalSub(ord);
+    node = NodeRef{arena_->NodeAt(ch), ch};
   }
   if (depth == 0 && node.ptr->num_entries() == 1) {
-    // Last entry of the tree: publish the empty root.
+    // Last entry of the tree: unpublish the root.
     SetRoot(NodeRef{});
     arena_->RetireNode(node);
     size_.store(0, std::memory_order_relaxed);
     return OpStatus::kApplied;
   }
-  NodeRef created[kBitWidth + 2];
-  size_t n_created = 0;
-  NodeRef retire[kBitWidth + 2];
-  size_t n_retire = 0;
+  Edit edit(arena_.get());
+  NodeRef replaced = node;
   NodeRef replacement{};
   size_t publish_depth = depth;
-  bool fail = false;
   if (depth > 0 && node.ptr->num_entries() == 2) {
-    // The removal leaves a non-root node with one entry: execute the
-    // paper's second-node restructuring as COW. Both affected live nodes
-    // are retired; the survivor is rebuilt privately.
-    const CowFrame& pf = path[depth - 1];
+    // The removal would leave a non-root node with one entry, so `node` is
+    // unlinked whole (never edited) and its surviving entry moves into the
+    // paper's second touched node, whose writable version takes the one
+    // fallible edit.
+    const PathFrame& pf = path[depth - 1];
     uint64_t sord = node.ptr->FirstOrdinal();  // the surviving entry
     if (sord == ord) {
       sord = node.ptr->NextOrdinal(sord);
     }
     const uint64_t saddr = node.ptr->OrdinalAddr(sord);
+    edit.Unlinked(node.handle);
     if (node.ptr->OrdinalIsSub(sord)) {
-      // Splice: an infix-absorbing clone of the grandchild takes `node`'s
-      // slot in the parent.
+      // Splice: the grandchild absorbs `node`'s infix and address bit and
+      // takes `node`'s slot in the parent.
       const NodeHandle gh = node.ptr->OrdinalSub(sord);
-      NodeRef grand{arena_->NodeAt(gh), gh};
-      NodeRef g2 = CowClone(*grand.ptr);
-      if (!g2) {
-        fail = true;
-      } else {
-        created[n_created++] = g2;
-        if (!g2.ptr->TryAbsorbParentInfix(*node.ptr, saddr, config_)) {
-          fail = true;
-        } else {
-          retire[n_retire++] = node;
-          retire[n_retire++] = grand;
-          replacement = g2;
-        }
+      replacement = Writable(NodeRef{arena_->NodeAt(gh), gh}, &edit);
+      if (!replacement || !replacement.ptr->TryAbsorbParentInfix(
+                              *node.ptr, saddr, config_)) {
+        return OpStatus::kNoMem;
       }
     } else {
-      // Merge: a clone of the parent folds the surviving postfix back in,
-      // replacing its sub entry for `node`.
+      // Merge: the parent's sub entry for `node` becomes the surviving
+      // postfix, rebuilt from node infix + node address bit + node postfix.
       KeyBuf buf;
       for (uint32_t d = 0; d < dim_; ++d) {
         buf.data[d] = 0;
@@ -835,66 +629,63 @@ OpStatus PhTree::CowErase(std::span<const uint64_t> key) {
       ApplyHcAddress(saddr, node.ptr->postfix_len(), buf.span(dim_));
       node.ptr->ReadInfixInto(buf.span(dim_));
       const uint64_t value = node.ptr->OrdinalPayload(sord);
-      const uint64_t addr_in_parent = pf.node.ptr->OrdinalAddr(pf.ord);
-      NodeRef p2 = CowClone(*pf.node.ptr);
-      if (!p2) {
-        fail = true;
-      } else {
-        created[n_created++] = p2;
-        if (!p2.ptr->TryReplaceSubWithPostfix(addr_in_parent, buf.span(dim_),
-                                              value, config_)) {
-          fail = true;
-        } else {
-          retire[n_retire++] = pf.node;
-          retire[n_retire++] = node;
-          replacement = p2;
-          publish_depth = depth - 1;  // p2 replaces the parent itself
-        }
+      const uint64_t addr_in_parent = pf.node->OrdinalAddr(pf.ord);
+      replaced = NodeRef{pf.node, pf.handle};
+      replacement = Writable(replaced, &edit);
+      if (!replacement || !replacement.ptr->TryReplaceSubWithPostfix(
+                              addr_in_parent, buf.span(dim_), value,
+                              config_)) {
+        return OpStatus::kNoMem;
       }
+      publish_depth = depth - 1;
     }
   } else {
-    // Plain removal from a clone of this node.
-    NodeRef copy = CowClone(*node.ptr);
-    if (!copy) {
-      fail = true;
-    } else {
-      created[n_created++] = copy;
-      if (!copy.ptr->TryRemoveEntry(addr, config_)) {
-        fail = true;
-      } else {
-        retire[n_retire++] = node;
-        replacement = copy;
-      }
+    replacement = Writable(node, &edit);
+    if (!replacement || !replacement.ptr->TryRemoveEntry(addr, config_)) {
+      return OpStatus::kNoMem;
     }
   }
-  if (!fail) {
-    fail = !CowPublish(replacement, path, publish_depth, created, &n_created,
-                       retire, &n_retire);
-  }
-  if (fail) {
-    for (size_t i = 0; i < n_created; ++i) {
-      arena_->DeleteNode(created[i]);
-    }
+  if (!Commit(replacement, replaced, path, publish_depth, &edit)) {
     return OpStatus::kNoMem;
-  }
-  for (size_t i = 0; i < n_retire; ++i) {
-    arena_->RetireNode(retire[i]);
   }
   size_.fetch_sub(1, std::memory_order_relaxed);
   return OpStatus::kApplied;
 }
 
-UpdateOutcome PhTree::CowUpdate(std::span<const uint64_t> old_key,
+UpdateOutcome PhTree::Update(std::span<const uint64_t> old_key,
+                             std::span<const uint64_t> new_key,
+                             std::optional<uint64_t> value) {
+  const UpdateOutcome out = TryUpdate(old_key, new_key, value);
+  if (out == UpdateOutcome::kNoMem) {
+    throw std::bad_alloc();
+  }
+  return out;
+}
+
+UpdateOutcome PhTree::TryUpdate(std::span<const uint64_t> old_key,
                                 std::span<const uint64_t> new_key,
                                 std::optional<uint64_t> value) {
+  assert(old_key.size() == dim_ && new_key.size() == dim_);
+  WriterPin pin(arena_.get());
+  return UpdateImpl(old_key, new_key, value);
+}
+
+UpdateOutcome PhTree::UpdateImpl(std::span<const uint64_t> old_key,
+                                 std::span<const uint64_t> new_key,
+                                 std::optional<uint64_t> value) {
   if (!root_) {
     return UpdateOutcome::kOldMissing;
   }
+  // First differing bit of the two keys across all dimensions — the level
+  // of their lowest common ancestor (the FindBatch shared-prefix logic).
   uint64_t agg = 0;
   for (uint32_t d = 0; d < dim_; ++d) {
     agg |= old_key[d] ^ new_key[d];
   }
-  CowFrame path[kBitWidth];
+
+  // Single descent along old_key. Invariant: every visited node's infix
+  // (and the path above it) matches old_key.
+  PathFrame path[kBitWidth];
   size_t depth = 0;
   NodeRef node = root_;
   uint64_t addr;
@@ -912,16 +703,16 @@ UpdateOutcome PhTree::CowUpdate(std::span<const uint64_t> old_key,
       if (node.ptr->PostfixDivergence(ord, old_key) >= 0) {
         return UpdateOutcome::kOldMissing;
       }
-      break;
+      break;  // old_key found: postfix `ord` of `node`
     }
     assert(depth < kBitWidth);
-    path[depth++] = CowFrame{node, ord};
+    path[depth++] = PathFrame{node.ptr, node.handle, ord};
     const NodeHandle ch = node.ptr->OrdinalSub(ord);
     node = NodeRef{arena_->NodeAt(ch), ch};
   }
 
   if (agg == 0) {
-    // Pure payload rewrite: in place, one atomic store, no allocation.
+    // old_key == new_key: a pure payload rewrite, one atomic store in place.
     if (value.has_value()) {
       node.ptr->PublishPayloadAt(ord, *value);
     }
@@ -934,8 +725,10 @@ UpdateOutcome PhTree::CowUpdate(std::span<const uint64_t> old_key,
   const uint64_t v = value.has_value() ? *value : node.ptr->OrdinalPayload(ord);
 
   if (hb <= pl) {
-    // The move stays inside this node: a single-clone publication, so a
-    // reader sees the entry jump atomically from old_key to new_key.
+    // In-node relocation: the keys agree on every bit above `pl`, so
+    // new_key belongs in this same node and the move is a slot change (or a
+    // pure postfix rewrite) of its writable version — one touched node, and
+    // under MVCC a reader sees the entry jump atomically.
     const uint64_t new_addr = HcAddressAt(new_key, pl);
     const uint64_t nord =
         new_addr == addr ? Node::kNoOrdinal : node.ptr->FindOrdinal(new_addr);
@@ -943,185 +736,44 @@ UpdateOutcome PhTree::CowUpdate(std::span<const uint64_t> old_key,
         node.ptr->PostfixDivergence(nord, new_key) < 0) {
       return UpdateOutcome::kNewOccupied;
     }
-    if (new_addr == addr || nord == Node::kNoOrdinal) {
-      NodeRef copy = CowClone(*node.ptr);
-      if (!copy) {
+    if (nord == Node::kNoOrdinal) {
+      Edit edit(arena_.get());
+      const NodeRef w = Writable(node, &edit);
+      if (!w) {
         return UpdateOutcome::kNoMem;
       }
-      bool ok = true;
       if (new_addr == addr) {
-        copy.ptr->SetPostfixAt(ord, new_key);
-        copy.ptr->SetPayloadAt(ord, v);
-      } else if (!copy.ptr->TryRelocatePostfix(addr, new_addr, new_key, v)) {
-        // The clone is private, so a transiently one-smaller stream is
-        // fine here — unlike the in-place path, remove+reinsert needs no
-        // rollback protection beyond deleting the clone.
-        ok = copy.ptr->TryRemoveEntry(addr, config_) &&
-             copy.ptr->TryInsertPostfix(new_addr, new_key, v, config_);
-      }
-      if (!ok) {
-        arena_->DeleteNode(copy);
+        // Same slot, and that slot holds old_key itself — new_key cannot
+        // exist anywhere else, so the rewrite is conflict-free.
+        w.ptr->SetPostfixAt(ord, new_key);
+        w.ptr->SetPayloadAt(ord, v);
+      } else if (!w.ptr->TryRelocatePostfix(addr, new_addr, new_key, v)) {
         return UpdateOutcome::kNoMem;
       }
-      NodeRef created[kBitWidth + 2];
-      size_t n_created = 0;
-      created[n_created++] = copy;
-      NodeRef retire[kBitWidth + 2];
-      size_t n_retire = 0;
-      retire[n_retire++] = node;
-      if (!CowPublish(copy, path, depth, created, &n_created, retire,
-                      &n_retire)) {
-        for (size_t i = 0; i < n_created; ++i) {
-          arena_->DeleteNode(created[i]);
-        }
+      if (!Commit(w, node, path, depth, &edit)) {
         return UpdateOutcome::kNoMem;
-      }
-      for (size_t i = 0; i < n_retire; ++i) {
-        arena_->RetireNode(retire[i]);
       }
       ++update_stats_.fast_path;
       return UpdateOutcome::kMoved;
     }
-    // new_addr holds a sub (or a diverging postfix): the generic path
+    // Otherwise new_addr holds a sub or a diverging postfix: the fallback
     // resolves the conflict through the insert itself.
   }
 
-  // Generic fallback: insert-then-erase, each itself a COW publication.
-  // Readers may transiently observe both keys — the documented MVCC
-  // relaxation for structural moves.
-  const OpStatus ins = TryInsert(new_key, v);
+  // Insert-then-erase fallback, each commit-or-rollback. old_key is proven
+  // present by the descent above, so the old-missing-beats-new-occupied
+  // precedence holds, and a kNoop from the insert can only mean a different
+  // entry already owns new_key (old != new here). Under MVCC readers may
+  // transiently observe both keys — the documented relaxation for
+  // structural moves.
+  const OpStatus ins = InsertImpl(new_key, v, /*assign=*/false);
   if (ins == OpStatus::kNoMem) {
     return UpdateOutcome::kNoMem;
   }
   if (ins == OpStatus::kNoop) {
     return UpdateOutcome::kNewOccupied;
   }
-  const OpStatus er = TryErase(old_key);
-  if (er == OpStatus::kApplied) {
-    ++update_stats_.fallback;
-    return UpdateOutcome::kMoved;
-  }
-  assert(er == OpStatus::kNoMem);
-  {
-    FaultInjectorSuspend suspend;
-    const OpStatus undo = TryErase(new_key);
-    (void)undo;
-    assert(undo == OpStatus::kApplied);
-  }
-  return UpdateOutcome::kNoMem;
-}
-
-UpdateOutcome PhTree::Update(std::span<const uint64_t> old_key,
-                             std::span<const uint64_t> new_key,
-                             std::optional<uint64_t> value) {
-  const UpdateOutcome out = TryUpdate(old_key, new_key, value);
-  if (out == UpdateOutcome::kNoMem) {
-    throw std::bad_alloc();
-  }
-  return out;
-}
-
-UpdateOutcome PhTree::TryUpdate(std::span<const uint64_t> old_key,
-                                std::span<const uint64_t> new_key,
-                                std::optional<uint64_t> value) {
-  assert(old_key.size() == dim_ && new_key.size() == dim_);
-  if (cow_) {
-    UpdateOutcome out;
-    {
-      EpochManager::ReadGuard guard(*arena_->epoch_manager());
-      out = CowUpdate(old_key, new_key, value);
-    }
-    arena_->Reclaim();
-    return out;
-  }
-  if (!root_) {
-    return UpdateOutcome::kOldMissing;
-  }
-  // First differing bit of the two keys across all dimensions — the level
-  // of their lowest common ancestor (the FindBatch shared-prefix logic).
-  uint64_t agg = 0;
-  for (uint32_t d = 0; d < dim_; ++d) {
-    agg |= old_key[d] ^ new_key[d];
-  }
-
-  // Single descent along old_key. Invariant: every visited node's infix
-  // (and the path above it) matches old_key.
-  Node* node = root_.ptr;
-  uint64_t addr;
-  uint64_t ord;
-  while (true) {
-    if (node->MatchInfix(old_key) >= 0) {
-      return UpdateOutcome::kOldMissing;
-    }
-    addr = HcAddressAt(old_key, node->postfix_len());
-    ord = node->FindOrdinal(addr);
-    if (ord == Node::kNoOrdinal) {
-      return UpdateOutcome::kOldMissing;
-    }
-    if (!node->OrdinalIsSub(ord)) {
-      if (node->PostfixDivergence(ord, old_key) >= 0) {
-        return UpdateOutcome::kOldMissing;
-      }
-      break;  // old_key found: postfix `ord` of `node`
-    }
-    node = arena_->NodeAt(node->OrdinalSub(ord));
-  }
-
-  if (agg == 0) {
-    // old_key == new_key: pure payload rewrite, always in place.
-    if (value.has_value()) {
-      node->SetPayloadAt(ord, *value);
-    }
-    ++update_stats_.fast_path;
-    return UpdateOutcome::kMoved;
-  }
-
-  const uint32_t hb = static_cast<uint32_t>(std::bit_width(agg)) - 1;
-  const uint32_t pl = node->postfix_len();
-  const uint64_t v = value.has_value() ? *value : node->OrdinalPayload(ord);
-
-  if (hb <= pl) {
-    // The keys agree on every bit above `pl`, so new_key belongs in this
-    // same node: the move is a slot change (or a pure postfix rewrite).
-    const uint64_t new_addr = HcAddressAt(new_key, pl);
-    if (new_addr == addr) {
-      // Same slot, and that slot holds old_key itself — new_key cannot
-      // exist anywhere else, so the rewrite is conflict-free.
-      node->SetPostfixAt(ord, new_key);
-      if (value.has_value()) {
-        node->SetPayloadAt(ord, v);
-      }
-      ++update_stats_.fast_path;
-      return UpdateOutcome::kMoved;
-    }
-    const uint64_t nord = node->FindOrdinal(new_addr);
-    if (nord == Node::kNoOrdinal) {
-      if (node->TryRelocatePostfix(addr, new_addr, new_key, v)) {
-        ++update_stats_.fast_path;
-        return UpdateOutcome::kMoved;
-      }
-      // Intermediate shrink would trade the backing block: not provably
-      // rollback-safe in place, take the generic path below.
-    } else if (!node->OrdinalIsSub(nord) &&
-               node->PostfixDivergence(nord, new_key) < 0) {
-      return UpdateOutcome::kNewOccupied;
-    }
-    // Occupied slot (split needed) or conflict deeper down: generic path,
-    // which detects an occupied new_key through the insert itself.
-  }
-
-  // Generic fallback: insert-then-erase, each commit-or-rollback. old_key
-  // is proven present by the descent above, so the old-missing-beats-
-  // new-occupied precedence holds, and a kNoop from the insert can only
-  // mean a different entry already owns new_key (old != new here).
-  const OpStatus ins = TryInsert(new_key, v);
-  if (ins == OpStatus::kNoMem) {
-    return UpdateOutcome::kNoMem;
-  }
-  if (ins == OpStatus::kNoop) {
-    return UpdateOutcome::kNewOccupied;
-  }
-  const OpStatus er = TryErase(old_key);
+  const OpStatus er = EraseImpl(old_key);
   if (er == OpStatus::kApplied) {
     ++update_stats_.fallback;
     return UpdateOutcome::kMoved;
@@ -1134,7 +786,7 @@ UpdateOutcome PhTree::TryUpdate(std::span<const uint64_t> old_key,
   assert(er == OpStatus::kNoMem);
   {
     FaultInjectorSuspend suspend;
-    const OpStatus undo = TryErase(new_key);
+    const OpStatus undo = EraseImpl(new_key);
     (void)undo;
     assert(undo == OpStatus::kApplied);
   }
@@ -1157,7 +809,7 @@ PhTreeStats PhTree::ComputeStats() const {
   if (root_) {
     StatsRec(root_.ptr, 1, &stats);
   }
-  if (arena_ != nullptr && arena_->pooled()) {
+  if (arena_ != nullptr) {
     // Exact, measured allocator state. Invariant (checked by the arena
     // tests): memory_bytes accumulated above plus retired-but-unreclaimed
     // bytes == arena_live_bytes (retired nodes are unreachable from the

@@ -98,15 +98,18 @@ class PhTree {
   bool empty() const { return size() == 0; }
   const PhTreeConfig& config() const { return config_; }
 
-  /// Switches this tree into MVCC mode: every structural mutation becomes
-  /// copy-on-write (replacement nodes built off to the side, published with
-  /// one atomic child-handle or root store) and replaced nodes are retired
-  /// through `epochs` instead of freed, so concurrent readers holding an
-  /// EpochManager::ReadGuard may traverse lock-free while one writer
-  /// mutates. Requires the pooled arena; call before any concurrent use.
-  /// Plain trees (the default) keep the historical in-place mutation path.
+  /// Switches this tree into MVCC mode by attaching `epochs` to its arena.
+  /// Mutations keep their one descent and structural cases; only the
+  /// writable-node step changes: every node a mutation edits becomes a
+  /// private clone, published with one atomic child-handle or root store,
+  /// and replaced nodes are retired through `epochs` instead of freed, so
+  /// concurrent readers holding an EpochManager::ReadGuard may traverse
+  /// lock-free while one writer mutates. Call before any concurrent use.
+  /// Plain trees (the default) edit the live node itself.
   void EnableMvcc(EpochManager* epochs);
-  bool mvcc_enabled() const { return cow_; }
+  bool mvcc_enabled() const {
+    return arena_ != nullptr && arena_->epoch_manager() != nullptr;
+  }
 
   /// Inserts `key` -> `value`. Returns false (and stores nothing) if the key
   /// already exists — the PH-tree stores no duplicates (paper Sect. 3.6).
@@ -188,13 +191,14 @@ class PhTree {
   /// mutations; moves transfer them with the tree).
   const PhUpdateStats& update_stats() const { return update_stats_; }
 
-  /// Removes all entries. With the arena (default) this is an O(slabs)
-  /// arena reset — no tree walk, no per-node free — and the slabs are kept
-  /// warm for refilling.
+  /// Removes all entries. In a plain tree this is an O(slabs) arena reset —
+  /// no tree walk, no per-node free — and the slabs are kept warm for
+  /// refilling; an MVCC tree unpublishes the root and retires every node
+  /// through the epoch queue instead.
   void Clear();
 
   /// Pre-allocates arena capacity for about `n` additional nodes (a tree
-  /// holds at most one node per entry). No-op without the arena.
+  /// holds at most one node per entry).
   void ReserveNodes(size_t n);
 
   /// Calls `fn(key, value)` for every stored entry, in z-order (ascending
@@ -252,21 +256,12 @@ class PhTree {
   friend class PhTreeValidator;
 
   NodeRef NewNode(uint32_t infix_len, uint32_t postfix_len);
-  OpStatus InsertRec(NodeRef node, std::span<const uint64_t> key,
-                     uint64_t value, bool assign, NodeRef* out);
-  OpStatus EraseRec(Node* parent, uint64_t addr_in_parent, NodeRef node,
-                    std::span<const uint64_t> key);
-  void DeleteSubtree(NodeRef node);
   void StatsRec(const Node* node, size_t depth, PhTreeStats* stats) const;
 
-  // ---- Copy-on-write mutation path (MVCC mode, see EnableMvcc) -----------
+  // ---- The mutation path (phtree.cc) --------------------------------------
 
-  /// One level of the recorded descent: `ord` is the sub entry of `node`
-  /// the descent followed — the slot a replacement child gets published to.
-  struct CowFrame {
-    NodeRef node;
-    uint64_t ord = 0;
-  };
+  struct PathFrame;  // one level of a recorded descent
+  class Edit;        // one mutation's created and unlinked nodes
 
   /// Publishes root_/root_ptr_ together; the release store is the MVCC
   /// root publication point.
@@ -275,24 +270,27 @@ class PhTree {
     root_ptr_.store(r.ptr, std::memory_order_release);
   }
 
-  NodeRef CowClone(const Node& src);
-  OpStatus CowInsert(std::span<const uint64_t> key, uint64_t value,
-                     bool assign);
-  OpStatus CowErase(std::span<const uint64_t> key);
-  UpdateOutcome CowUpdate(std::span<const uint64_t> old_key,
-                          std::span<const uint64_t> new_key,
-                          std::optional<uint64_t> value);
-  bool CowPublish(NodeRef replacement, const CowFrame* path, size_t depth,
-                  NodeRef* created, size_t* n_created, NodeRef* retire,
-                  size_t* n_retire);
-  void CowClear();
+  OpStatus InsertImpl(std::span<const uint64_t> key, uint64_t value,
+                      bool assign);
+  OpStatus EraseImpl(std::span<const uint64_t> key);
+  UpdateOutcome UpdateImpl(std::span<const uint64_t> old_key,
+                           std::span<const uint64_t> new_key,
+                           std::optional<uint64_t> value);
+  /// The node a structural case may edit: `node` itself in a plain tree,
+  /// a private clone (recorded in `edit`) under MVCC; empty if the clone
+  /// cannot be allocated.
+  NodeRef Writable(NodeRef node, Edit* edit);
+  /// Links `replacement` in where `replaced` hangs — below path[depth-1],
+  /// or at the root — and commits `edit`. False, with nothing published,
+  /// if a clone on the way up cannot be allocated.
+  bool Commit(NodeRef replacement, NodeRef replaced, const PathFrame* path,
+              size_t depth, Edit* edit);
   void RetireSubtree(NodeRef node);
 
   uint32_t dim_;
   PhTreeConfig config_;
   std::atomic<size_t> size_{0};
   PhUpdateStats update_stats_;
-  bool cow_ = false;
   NodeRef root_;
   /// Mirror of root_.ptr for lock-free readers (root_ itself also carries
   /// the handle, which only the writer needs).

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/rng.h"
+#include "phtree/arena.h"
 #include "phtree/phtree.h"
 #include "phtree/stats.h"
 #include "phtree/validate.h"
@@ -347,6 +349,76 @@ TEST(NodeWhitebox, PostfixDivergenceFindsHighestBit) {
   node.ReadPostfixInto(ord, read);
   EXPECT_EQ(read[0], key[0] & LowMask(33));
   EXPECT_EQ(read[1], key[1] & LowMask(33));
+}
+
+TEST(NodeWhitebox, RelocateRebuildsWhenShrinkWouldTradeTheBlock) {
+  // An arena node holds exactly the pool block granted for its size, so a
+  // remove-then-reinsert whose transient shrink crosses a size class cannot
+  // run in place: TryRelocatePostfix then rebuilds the stream with the
+  // entry moved — one word allocation, and a failed one leaves the node
+  // untouched.
+  const PhTreeConfig cfg;
+  const uint32_t dim = 6;
+  NodeArena arena;
+  Rng rng(91);
+  FaultInjector meter;
+  SetFaultInjector(&meter);
+  size_t rebuilds = 0;
+  size_t in_place = 0;
+  for (uint64_t n = 1; n <= 48; ++n) {
+    const NodeRef node = arena.NewNode(dim, 0, 40, true);
+    ASSERT_TRUE(node);
+    const auto random_key = [&] {
+      PhKey key(dim);
+      for (auto& v : key) {
+        v = rng.NextU64() & LowMask(41);
+      }
+      return key;
+    };
+    while (node.ptr->num_entries() < n) {
+      const PhKey key = random_key();
+      const uint64_t addr = HcAddressAt(key, 40);
+      if (node.ptr->FindOrdinal(addr) == Node::kNoOrdinal) {
+        ASSERT_TRUE(node.ptr->TryInsertPostfix(addr, key, addr, cfg));
+      }
+    }
+    const uint64_t old_addr =
+        node.ptr->OrdinalAddr(node.ptr->FirstOrdinal());
+    PhKey to = random_key();
+    while (node.ptr->FindOrdinal(HcAddressAt(to, 40)) != Node::kNoOrdinal) {
+      to = random_key();
+    }
+    const uint64_t new_addr = HcAddressAt(to, 40);
+    const uint64_t bytes = node.ptr->MemoryBytes();
+
+    // A failing word allocation: either the move runs in place and never
+    // asks, or the rebuild is refused with the node unchanged.
+    meter.ArmCountdown(FaultSite::kWordAlloc, 1);
+    const bool moved = node.ptr->TryRelocatePostfix(old_addr, new_addr, to, 7);
+    const bool rebuild = meter.fired();
+    meter.Disarm();
+    if (rebuild) {
+      ++rebuilds;
+      ASSERT_FALSE(moved);
+      EXPECT_NE(node.ptr->FindOrdinal(old_addr), Node::kNoOrdinal);
+      EXPECT_EQ(node.ptr->FindOrdinal(new_addr), Node::kNoOrdinal);
+      ASSERT_TRUE(node.ptr->TryRelocatePostfix(old_addr, new_addr, to, 7));
+    } else {
+      ++in_place;
+      ASSERT_TRUE(moved);
+    }
+    EXPECT_EQ(node.ptr->num_entries(), n);
+    EXPECT_EQ(node.ptr->FindOrdinal(old_addr), Node::kNoOrdinal);
+    const uint64_t ord = node.ptr->FindOrdinal(new_addr);
+    ASSERT_NE(ord, Node::kNoOrdinal);
+    EXPECT_EQ(node.ptr->OrdinalPayload(ord), 7u);
+    EXPECT_EQ(node.ptr->PostfixDivergence(ord, to), -1);
+    EXPECT_EQ(node.ptr->MemoryBytes(), bytes);
+    arena.DeleteNode(node);
+  }
+  SetFaultInjector(nullptr);
+  EXPECT_GT(rebuilds, 0u);
+  EXPECT_GT(in_place, 0u);
 }
 
 }  // namespace

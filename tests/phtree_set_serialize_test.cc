@@ -213,41 +213,6 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
             StatusCode::kHeaderCorrupt);
 }
 
-TEST(Serialize, RoundTripsUnderBothArenaModes) {
-  // use_arena changes allocation policy only — the serialised bytes and
-  // the round-tripped structure must be identical in both modes.
-  Rng rng(21);
-  PhTreeConfig arena_cfg;    // use_arena = true (default)
-  PhTreeConfig no_arena_cfg;
-  no_arena_cfg.use_arena = false;
-  PhTree with_arena(3, arena_cfg);
-  PhTree without_arena(3, no_arena_cfg);
-  for (int i = 0; i < 3000; ++i) {
-    const PhKey key{rng.NextU64() & 0xFFFFF, rng.NextU64(),
-                    rng.NextU64() & 0xFFF};
-    with_arena.InsertOrAssign(key, i);
-    without_arena.InsertOrAssign(key, i);
-  }
-  const auto bytes_arena = SerializePhTree(with_arena);
-  const auto bytes_no_arena = SerializePhTree(without_arena);
-  EXPECT_EQ(bytes_arena, bytes_no_arena);
-
-  LoadOptions paranoid;
-  paranoid.validate_structure = true;
-  auto back = DeserializePhTreeOr(bytes_no_arena, paranoid);
-  ASSERT_TRUE(back.has_value()) << back.error().ToString();
-  EXPECT_EQ(back->size(), with_arena.size());
-  const auto a = with_arena.ComputeStats();
-  const auto b = back->ComputeStats();
-  EXPECT_EQ(a.n_nodes, b.n_nodes);
-  EXPECT_EQ(ValidatePhTree(*back), "");
-  without_arena.ForEach([&](const PhKey& k, uint64_t v) {
-    const auto found = back->Find(k);
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(*found, v);
-  });
-}
-
 TEST(Serialize, LegacyV1StreamsLoadWithWarning) {
   Rng rng(22);
   PhTree tree(2);
