@@ -266,8 +266,9 @@ int Main(int argc, char** argv) {
   }
   for (const unsigned s : shard_counts) {
     for (const unsigned t : thread_counts) {
-      // Hash routing: CUBE doubles share their encoded top bits, so
-      // z-prefix routing would put every key in one shard (sharded.h).
+      // Hash routing: single inserts into an empty tree keep z-range
+      // routing on its prefix splits, and CUBE doubles share their encoded
+      // top bits, so every key would go to one shard (sharded.h).
       rows.push_back({"PH(sharded)", "insert", t, s, nd, BestOf(kRepeats, [&] {
                         PhTreeSharded sharded(dim, s, ShardRouting::kHash);
                         return ParallelInsertUs(sharded, keys, t);

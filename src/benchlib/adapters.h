@@ -105,9 +105,10 @@ class PhSyncAdapter {
 /// Adapter for the lock-striped sharded tree (PhTreeSharded, 8 shards —
 /// the concurrency benchmark's default configuration). Thread-safe like
 /// PhSyncAdapter; writers on different shards run in parallel. Uses hash
-/// routing: the benchmarks feed SortableDoubleBits-encoded doubles, whose
-/// shared sign/exponent top bits would send every key to one z-prefix
-/// shard (see sharded.h "Routing modes").
+/// routing: the benchmarks insert SortableDoubleBits-encoded doubles one
+/// by one, so z-range routing would keep its prefix splits, and the keys'
+/// shared sign/exponent top bits would send every key to one shard (see
+/// sharded.h).
 class PhShardedAdapter {
  public:
   static constexpr const char* kName = "PH(sharded)";

@@ -1,6 +1,6 @@
 // A fixed-size thread pool with a single shared task queue — deliberately
 // work-stealing-free: the PH-tree's parallel entry points (sharded bulk
-// load, window-query fan-out) produce a small number of coarse,
+// load and snapshot load) produce a small number of coarse,
 // similar-sized tasks (one per shard), so a mutex-protected FIFO drained by
 // N workers is both sufficient and easy to reason about under TSan.
 #ifndef PHTREE_COMMON_THREAD_POOL_H_

@@ -76,7 +76,7 @@ struct ItemGreater {
 
 std::vector<KnnResult> KnnSearch(const PhTree& tree,
                                  std::span<const uint64_t> center, size_t n,
-                                 KnnMetric metric) {
+                                 KnnMetric metric, double max_dist2) {
   assert(center.size() == tree.dim());
   std::vector<KnnResult> results;
   const Node* root = tree.root();
@@ -85,6 +85,25 @@ std::vector<KnnResult> KnnSearch(const PhTree& tree,
   }
   results.reserve(std::min(n, tree.size()));
   std::priority_queue<QueueItem, std::vector<QueueItem>, ItemGreater> queue;
+  // The n smallest point distances pushed so far (a max-heap). Once it is
+  // full its top bounds the answer, so any push beyond it (or beyond
+  // max_dist2) cannot reach the result; exact ties still go in, the
+  // z-order tie-break needs them.
+  std::priority_queue<double> nearest;
+  double bound = max_dist2;
+  auto push_point = [&](double d2, PhKey&& key, uint64_t payload) {
+    if (d2 > bound) {
+      return;
+    }
+    queue.push(QueueItem{d2, nullptr, std::move(key), payload});
+    if (nearest.size() == n) {
+      nearest.pop();
+    }
+    nearest.push(d2);
+    if (nearest.size() == n) {
+      bound = std::min(bound, nearest.top());
+    }
+  };
   queue.push(QueueItem{0.0, root, PhKey(tree.dim(), 0), 0});
   while (!queue.empty() && results.size() < n) {
     QueueItem item = std::move(const_cast<QueueItem&>(queue.top()));
@@ -109,11 +128,12 @@ std::vector<KnnResult> KnnSearch(const PhTree& tree,
         child->ReadInfixInto(key);
         const double d2 =
             BoxDist2(center, key, child->postfix_len() + 1, metric);
-        queue.push(QueueItem{d2, child, std::move(key), 0});
+        if (d2 <= bound) {
+          queue.push(QueueItem{d2, child, std::move(key), 0});
+        }
       } else {
         const uint64_t payload = node->ReadPostfixAndPayload(ord, key);
-        const double d2 = PointDist2(center, key, metric);
-        queue.push(QueueItem{d2, nullptr, std::move(key), payload});
+        push_point(PointDist2(center, key, metric), std::move(key), payload);
       }
     }
   }

@@ -9,6 +9,7 @@
 #define PHTREE_PHTREE_KNN_H_
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -35,11 +36,14 @@ enum class KnnMetric {
 /// Returns the `n` entries of `tree` closest to `center`, ordered by
 /// ascending distance; exact distance ties are broken deterministically by
 /// the z-order of the keys, so the result sequence is a pure function of
-/// the tree contents (the sharded fan-out reproduces it exactly). Returns
-/// fewer than `n` results iff the tree holds fewer entries.
-std::vector<KnnResult> KnnSearch(const PhTree& tree,
-                                 std::span<const uint64_t> center, size_t n,
-                                 KnnMetric metric = KnnMetric::kL2Integer);
+/// the tree contents (the sharded fan-out reproduces it exactly). Only
+/// entries with dist2 <= `max_dist2` qualify: the result is the unbounded
+/// one cut after its last entry within the bound, exact ties kept. Returns
+/// fewer than `n` results iff fewer entries qualify.
+std::vector<KnnResult> KnnSearch(
+    const PhTree& tree, std::span<const uint64_t> center, size_t n,
+    KnnMetric metric = KnnMetric::kL2Integer,
+    double max_dist2 = std::numeric_limits<double>::infinity());
 
 /// Convenience overload for double-encoded trees: converts `center`, uses
 /// the kL2Double metric and decodes nothing (result keys stay encoded).

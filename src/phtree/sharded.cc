@@ -4,7 +4,9 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <numeric>
 
@@ -13,28 +15,15 @@
 #include "phtree/cursor.h"
 
 namespace phtree {
-namespace {
 
-double MetricCoordDelta(uint64_t a, uint64_t b, KnnMetric metric) {
-  if (metric == KnnMetric::kL2Double) {
-    return SortableBitsToDouble(a) - SortableBitsToDouble(b);
-  }
-  const uint64_t delta = a > b ? a - b : b - a;
-  return static_cast<double>(delta);
-}
-
-// SplitMix64 finaliser: full-avalanche 64-bit mix (same constants as
-// common/rng.h's seeding stage).
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
+/// Immutable routing: the table and the S shard trees it filled. The trees
+/// themselves change under their shard's writer mutex; which trees and
+/// which table form the layout changes only by replacing the whole layout
+/// (Install).
+struct PhTreeSharded::Layout {
+  RoutingTable table;
+  std::vector<PhTree> trees;  // MVCC trees, one per shard
+};
 
 PhTreeSharded::PhTreeSharded(uint32_t dim, uint32_t num_shards,
                              ShardRouting routing, const PhTreeConfig& config,
@@ -42,135 +31,94 @@ PhTreeSharded::PhTreeSharded(uint32_t dim, uint32_t num_shards,
     : dim_(dim),
       routing_(routing),
       config_(config),
-      pool_(pool != nullptr ? pool : &ThreadPool::Shared()) {
+      pool_(pool != nullptr ? pool : &ThreadPool::Shared()),
+      mutexes_(std::max(num_shards, 1u)) {
   assert(dim >= 1);
   assert(num_shards >= 1 && (num_shards & (num_shards - 1)) == 0 &&
          "num_shards must be a power of two");
-  if (num_shards == 0) {
-    num_shards = 1;
-  }
-  shard_bits_ = static_cast<uint32_t>(std::countr_zero(num_shards));
-  // More shard bits than interleaved key bits would alias shards to empty
+  num_shards = this->num_shards();
+  // More prefix bits than interleaved key bits would alias shards to empty
   // regions; 64*dim bits is the whole key, far beyond any sane S anyway.
-  assert(shard_bits_ <= 64 * dim_);
-  shards_.reserve(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<Shard>(dim, config, &epochs_));
-  }
+  assert(static_cast<uint32_t>(std::countr_zero(num_shards)) <= 64 * dim_);
+  RoutingTable table = routing == ShardRouting::kHash
+                           ? RoutingTable::Hash(dim, num_shards)
+                           : RoutingTable::Prefix(dim, num_shards);
+  layout_.store(BuildLayout({}, config, std::move(table)).release(),
+                std::memory_order_release);
+}
+
+PhTreeSharded::~PhTreeSharded() {
+  delete layout_.load(std::memory_order_relaxed);
 }
 
 uint32_t PhTreeSharded::ShardOf(std::span<const uint64_t> key) const {
-  assert(key.size() == dim_);
-  if (shard_bits_ == 0) {
-    return 0;  // single shard: skip the hash/prefix work entirely
-  }
-  if (routing_ == ShardRouting::kHash) {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;  // golden-ratio seed
-    for (const uint64_t word : key) {
-      h = Mix64(h ^ word);
-    }
-    return static_cast<uint32_t>(h & (num_shards() - 1));
-  }
-  // Top shard_bits_ bits of the z-interleaved address: bit 63 of dim 0,
-  // bit 63 of dim 1, ..., then bit 62 of dim 0, ...
-  uint64_t s = 0;
-  uint32_t d = 0;
-  uint32_t bit = 63;
-  for (uint32_t j = 0; j < shard_bits_; ++j) {
-    s = (s << 1) | ((key[d] >> bit) & 1);
-    if (++d == dim_) {
-      d = 0;
-      --bit;
-    }
-  }
-  return static_cast<uint32_t>(s);
+  EpochManager::ReadGuard guard(epochs_);
+  return layout().table.ShardOf(key);
 }
 
 void PhTreeSharded::ShardRegion(uint32_t s, PhKey* lo, PhKey* hi) const {
   assert(s < num_shards());
-  lo->assign(dim_, 0);
-  hi->assign(dim_, ~uint64_t{0});
-  if (routing_ == ShardRouting::kHash) {
-    return;  // hash shards are not spatial: every region is the full space
-  }
-  uint32_t d = 0;
-  uint32_t bit = 63;
-  for (uint32_t j = 0; j < shard_bits_; ++j) {
-    const uint64_t fixed = (s >> (shard_bits_ - 1 - j)) & 1;
-    if (fixed) {
-      (*lo)[d] |= uint64_t{1} << bit;
-    } else {
-      (*hi)[d] &= ~(uint64_t{1} << bit);
-    }
-    if (++d == dim_) {
-      d = 0;
-      --bit;
-    }
-  }
+  EpochManager::ReadGuard guard(epochs_);
+  layout().table.Bounds(s, lo, hi);
 }
 
-bool PhTreeSharded::ShardIntersects(uint32_t s, std::span<const uint64_t> min,
-                                    std::span<const uint64_t> max) const {
-  if (routing_ == ShardRouting::kHash) {
-    return true;  // any key may hash anywhere: no spatial pruning
-  }
-  PhKey lo;
-  PhKey hi;
-  ShardRegion(s, &lo, &hi);
-  for (uint32_t d = 0; d < dim_; ++d) {
-    if (lo[d] > max[d] || hi[d] < min[d]) {
-      return false;
-    }
-  }
-  return true;
+const PhTree& PhTreeSharded::UnsafeShard(uint32_t s) const {
+  return layout().trees[s];
 }
 
-double PhTreeSharded::ShardMinDist2(uint32_t s,
-                                    std::span<const uint64_t> center,
-                                    KnnMetric metric) const {
-  if (routing_ == ShardRouting::kHash) {
-    return 0.0;  // no spatial bound: every shard must be searched
+PhTreeSharded::Route PhTreeSharded::LockRoute(std::span<const uint64_t> a,
+                                              std::span<const uint64_t> b) {
+  uint32_t sa;
+  uint32_t sb;
+  {
+    // Only for the routing: a writer waiting for a mutex holds no epoch
+    // slot, so queued writers neither exhaust the slots nor stall epoch
+    // advances.
+    EpochManager::ReadGuard guard(epochs_);
+    const RoutingTable& table = layout().table;
+    sa = table.ShardOf(a);
+    sb = b.empty() ? sa : table.ShardOf(b);
   }
-  PhKey lo;
-  PhKey hi;
-  ShardRegion(s, &lo, &hi);
-  double sum = 0;
-  for (uint32_t d = 0; d < dim_; ++d) {
-    // Clamping commutes with the order-preserving double encoding, so the
-    // nearest box point in encoded space is the nearest in metric space.
-    const uint64_t clamped = std::clamp(center[d], lo[d], hi[d]);
-    const double delta = MetricCoordDelta(center[d], clamped, metric);
-    sum += delta * delta;
+  for (;;) {
+    Route r{nullptr, sa, sb, {}, {}};
+    r.first = std::unique_lock(mutexes_[std::min(sa, sb)].mutex);
+    if (sa != sb) {
+      r.second = std::unique_lock(mutexes_[std::max(sa, sb)].mutex);
+    }
+    // Install swaps layouts only under every writer mutex, so the layout
+    // read here stays current until the locks are released.
+    r.layout = layout_.load(std::memory_order_acquire);
+    sa = r.layout->table.ShardOf(a);
+    sb = b.empty() ? sa : r.layout->table.ShardOf(b);
+    if (sa == r.a && sb == r.b) {
+      return r;
+    }
   }
-  return sum;
 }
 
 size_t PhTreeSharded::size() const {
   EpochManager::ReadGuard guard(epochs_);
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->reader()->size();
+  for (const PhTree& tree : layout().trees) {
+    total += tree.size();
   }
   return total;
 }
 
 bool PhTreeSharded::Insert(std::span<const uint64_t> key, uint64_t value) {
-  Shard& shard = *shards_[ShardOf(key)];
-  std::lock_guard lock(shard.mutex);
-  return shard.writer()->Insert(key, value);
+  const Route r = LockRoute(key);
+  return r.layout->trees[r.a].Insert(key, value);
 }
 
 bool PhTreeSharded::InsertOrAssign(std::span<const uint64_t> key,
                                    uint64_t value) {
-  Shard& shard = *shards_[ShardOf(key)];
-  std::lock_guard lock(shard.mutex);
-  return shard.writer()->InsertOrAssign(key, value);
+  const Route r = LockRoute(key);
+  return r.layout->trees[r.a].InsertOrAssign(key, value);
 }
 
 bool PhTreeSharded::Erase(std::span<const uint64_t> key) {
-  Shard& shard = *shards_[ShardOf(key)];
-  std::lock_guard lock(shard.mutex);
-  return shard.writer()->Erase(key);
+  const Route r = LockRoute(key);
+  return r.layout->trees[r.a].Erase(key);
 }
 
 UpdateOutcome PhTreeSharded::Update(std::span<const uint64_t> old_key,
@@ -186,24 +134,18 @@ UpdateOutcome PhTreeSharded::Update(std::span<const uint64_t> old_key,
 UpdateOutcome PhTreeSharded::TryUpdate(std::span<const uint64_t> old_key,
                                        std::span<const uint64_t> new_key,
                                        std::optional<uint64_t> value) {
-  const uint32_t so = ShardOf(old_key);
-  const uint32_t sn = ShardOf(new_key);
-  if (so == sn) {
+  const Route r = LockRoute(old_key, new_key);
+  if (r.a == r.b) {
     // Same shard: one critical section, and the tree's single-descent
     // relocation fast path applies.
-    Shard& shard = *shards_[so];
-    std::lock_guard lock(shard.mutex);
-    return shard.writer()->TryUpdate(old_key, new_key, value);
+    return r.layout->trees[r.a].TryUpdate(old_key, new_key, value);
   }
-  // Cross-shard move: take both writer locks in ascending shard index (the
-  // deadlock-free total order), then insert-then-erase across the trees.
-  // Holding both writer mutexes also makes the plain Find/Contains reads
-  // below safe without an epoch guard: only a shard's writer reclaims its
-  // arena, and both writers are us.
-  std::unique_lock first(shards_[std::min(so, sn)]->mutex);
-  std::unique_lock second(shards_[std::max(so, sn)]->mutex);
-  PhTree& src = *shards_[so]->writer();
-  PhTree& dst = *shards_[sn]->writer();
+  // Cross-shard move under both writer locks: insert-then-erase across the
+  // trees. Holding both writer mutexes also makes the plain Find/Contains
+  // reads below safe without an epoch guard: only a shard's writer
+  // reclaims its arena, and both writers are us.
+  PhTree& src = r.layout->trees[r.a];
+  PhTree& dst = r.layout->trees[r.b];
   const std::optional<uint64_t> old_value = src.Find(old_key);
   if (!old_value.has_value()) {
     return UpdateOutcome::kOldMissing;
@@ -231,24 +173,26 @@ UpdateOutcome PhTreeSharded::TryUpdate(std::span<const uint64_t> old_key,
 std::optional<uint64_t> PhTreeSharded::Find(
     std::span<const uint64_t> key) const {
   EpochManager::ReadGuard guard(epochs_);
-  return shards_[ShardOf(key)]->reader()->Find(key);
+  const Layout& l = layout();
+  return l.trees[l.table.ShardOf(key)].Find(key);
 }
 
 std::vector<std::optional<uint64_t>> PhTreeSharded::FindBatch(
     std::span<const PhKey> keys) const {
   EpochManager::ReadGuard guard(epochs_);
-  if (shards_.size() == 1) {
-    return shards_[0]->reader()->FindBatch(keys);
+  const Layout& l = layout();
+  if (l.trees.size() == 1) {
+    return l.trees[0].FindBatch(keys);
   }
   std::vector<std::optional<uint64_t>> results(keys.size());
   // Bucket input positions by shard, then answer each shard's sub-batch
-  // with one batched walk under one reader-lock acquisition.
-  std::vector<std::vector<uint32_t>> buckets(shards_.size());
+  // with one batched walk.
+  std::vector<std::vector<uint32_t>> buckets(l.trees.size());
   for (size_t i = 0; i < keys.size(); ++i) {
-    buckets[ShardOf(keys[i])].push_back(static_cast<uint32_t>(i));
+    buckets[l.table.ShardOf(keys[i])].push_back(static_cast<uint32_t>(i));
   }
   std::vector<PhKey> sub_keys;
-  for (uint32_t s = 0; s < shards_.size(); ++s) {
+  for (uint32_t s = 0; s < l.trees.size(); ++s) {
     const std::vector<uint32_t>& bucket = buckets[s];
     if (bucket.empty()) {
       continue;
@@ -259,7 +203,7 @@ std::vector<std::optional<uint64_t>> PhTreeSharded::FindBatch(
       sub_keys.push_back(keys[i]);
     }
     const std::vector<std::optional<uint64_t>> sub =
-        shards_[s]->reader()->FindBatch(sub_keys);
+        l.trees[s].FindBatch(sub_keys);
     for (size_t j = 0; j < bucket.size(); ++j) {
       results[bucket[j]] = sub[j];
     }
@@ -268,24 +212,45 @@ std::vector<std::optional<uint64_t>> PhTreeSharded::FindBatch(
 }
 
 void PhTreeSharded::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
+  for (uint32_t s = 0; s < num_shards(); ++s) {
+    std::lock_guard lock(mutexes_[s].mutex);
     // MVCC Clear retires the whole tree behind one atomic root store, so
     // concurrent lock-free readers keep walking their snapshot.
-    shard->writer()->Clear();
+    layout_.load(std::memory_order_acquire)->trees[s].Clear();
   }
 }
 
-size_t PhTreeSharded::BulkLoad(std::span<const PhEntry> entries) {
-  const uint32_t S = num_shards();
-  // One partition pass: per-shard index lists into `entries`.
-  std::vector<std::vector<size_t>> part(S);
-  for (auto& p : part) {
-    p.reserve(entries.size() / S + 1);
+std::optional<RoutingTable> PhTreeSharded::DataTable(
+    std::span<const PhEntry> entries) const {
+  if (routing_ == ShardRouting::kHash || num_shards() == 1 ||
+      entries.size() < num_shards()) {
+    return std::nullopt;
   }
+  return RoutingTable::Quantiles(dim_, num_shards(), entries);
+}
+
+size_t PhTreeSharded::BulkLoad(std::span<const PhEntry> entries) {
+  std::lock_guard reload(reload_mutex_);
+  // Under reload_mutex_ the layout stays put (only Install replaces it).
+  Layout& current = *layout_.load(std::memory_order_acquire);
+  if (!entries.empty() && empty()) {
+    std::optional<RoutingTable> fresh = DataTable(entries);
+    std::unique_ptr<Layout> next = BuildLayout(
+        entries, config_, fresh ? std::move(*fresh) : current.table);
+    size_t inserted = 0;
+    for (const PhTree& tree : next->trees) {
+      inserted += tree.size();
+    }
+    if (Install(std::move(next), config_, /*only_if_empty=*/true)) {
+      return inserted;
+    }
+    // A writer got in first: merge into its content below instead.
+  }
+  const uint32_t S = num_shards();
+  std::vector<std::vector<size_t>> part(S);
   for (size_t i = 0; i < entries.size(); ++i) {
     assert(entries[i].key.size() == dim_);
-    part[ShardOf(entries[i].key)].push_back(i);
+    part[current.table.ShardOf(entries[i].key)].push_back(i);
   }
   std::vector<size_t> inserted(S, 0);
   pool_->ParallelFor(S, [&](size_t s) {
@@ -293,15 +258,12 @@ size_t PhTreeSharded::BulkLoad(std::span<const PhEntry> entries) {
     if (idx.empty()) {
       return;
     }
-    Shard& shard = *shards_[s];
-    std::lock_guard lock(shard.mutex);
-    PhTree* tree = shard.writer();
-    tree->ReserveNodes(idx.size());
-    size_t ins = 0;
+    std::lock_guard lock(mutexes_[s].mutex);
+    PhTree& tree = current.trees[s];
+    tree.ReserveNodes(idx.size());
     for (const size_t i : idx) {
-      ins += tree->Insert(entries[i].key, entries[i].value) ? 1 : 0;
+      inserted[s] += tree.Insert(entries[i].key, entries[i].value) ? 1 : 0;
     }
-    inserted[s] = ins;
   });
   return std::accumulate(inserted.begin(), inserted.end(), size_t{0});
 }
@@ -309,38 +271,21 @@ size_t PhTreeSharded::BulkLoad(std::span<const PhEntry> entries) {
 std::vector<std::pair<PhKey, uint64_t>> PhTreeSharded::QueryWindow(
     std::span<const uint64_t> min, std::span<const uint64_t> max) const {
   assert(min.size() == dim_ && max.size() == dim_);
-  std::vector<uint32_t> hit;
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    if (ShardIntersects(s, min, max)) {
-      hit.push_back(s);
+  EpochManager::ReadGuard guard(epochs_);
+  const Layout& l = layout();
+  std::vector<std::pair<PhKey, uint64_t>> out;
+  for (uint32_t s = 0; s < l.trees.size(); ++s) {
+    if (!l.table.Intersects(s, min, max)) {
+      continue;
+    }
+    for (TreeCursor cursor(l.trees[s], min, max); cursor.Valid();
+         cursor.Next()) {
+      const std::span<const uint64_t> key = cursor.key();
+      out.emplace_back(PhKey(key.begin(), key.end()), cursor.value());
     }
   }
-  std::vector<std::pair<PhKey, uint64_t>> out;
-  if (hit.empty()) {
-    return out;
-  }
-  if (hit.size() == 1) {
-    EpochManager::ReadGuard guard(epochs_);
-    return shards_[hit[0]]->reader()->QueryWindow(min, max);
-  }
-  std::vector<std::vector<std::pair<PhKey, uint64_t>>> per(hit.size());
-  pool_->ParallelFor(hit.size(), [&](size_t i) {
-    // Pool threads announce themselves: epoch slots are per reader, not
-    // per API call.
-    EpochManager::ReadGuard guard(epochs_);
-    per[i] = shards_[hit[i]]->reader()->QueryWindow(min, max);
-  });
-  size_t total = 0;
-  for (const auto& v : per) {
-    total += v.size();
-  }
-  out.reserve(total);
-  // With z-prefix routing, `hit` is ascending in z-order, so appending in
-  // order already yields the global z-order; hash shards interleave, so
-  // their concatenation needs an explicit z-sort to restore it.
-  for (auto& v : per) {
-    std::move(v.begin(), v.end(), std::back_inserter(out));
-  }
+  // Z-range shards are visited in z-order, so `out` already is; hash
+  // shards interleave and need an explicit z-sort.
   if (routing_ == ShardRouting::kHash) {
     std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
       return ZOrderLess(a.first, b.first);
@@ -354,38 +299,34 @@ void PhTreeSharded::QueryWindow(
     const std::function<void(const PhKey&, uint64_t)>& visitor) const {
   assert(min.size() == dim_ && max.size() == dim_);
   EpochManager::ReadGuard guard(epochs_);
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    if (!ShardIntersects(s, min, max)) {
-      continue;
+  const Layout& l = layout();
+  for (uint32_t s = 0; s < l.trees.size(); ++s) {
+    if (l.table.Intersects(s, min, max)) {
+      l.trees[s].QueryWindow(min, max, visitor);
     }
-    shards_[s]->reader()->QueryWindow(min, max, visitor);
   }
 }
 
 size_t PhTreeSharded::CountWindow(std::span<const uint64_t> min,
                                   std::span<const uint64_t> max) const {
   assert(min.size() == dim_ && max.size() == dim_);
-  std::vector<uint32_t> hit;
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    if (ShardIntersects(s, min, max)) {
-      hit.push_back(s);
+  EpochManager::ReadGuard guard(epochs_);
+  const Layout& l = layout();
+  size_t count = 0;
+  for (uint32_t s = 0; s < l.trees.size(); ++s) {
+    if (l.table.Intersects(s, min, max)) {
+      count += l.trees[s].CountWindow(min, max);
     }
   }
-  if (hit.empty()) {
-    return 0;
-  }
-  std::vector<size_t> counts(hit.size(), 0);
-  pool_->ParallelFor(hit.size(), [&](size_t i) {
-    EpochManager::ReadGuard guard(epochs_);
-    counts[i] = shards_[hit[i]]->reader()->CountWindow(min, max);
-  });
-  return std::accumulate(counts.begin(), counts.end(), size_t{0});
+  return count;
 }
 
 WindowPage PhTreeSharded::QueryWindowPage(
     std::span<const uint64_t> min, std::span<const uint64_t> max,
     size_t page_size, std::span<const uint64_t> resume_after) const {
   assert(min.size() == dim_ && max.size() == dim_);
+  EpochManager::ReadGuard guard(epochs_);
+  const Layout& l = layout();
   WindowPage page;
   if (routing_ == ShardRouting::kZPrefix) {
     // Ascending shard index is ascending z-order, so the page fills shard
@@ -394,28 +335,22 @@ WindowPage PhTreeSharded::QueryWindowPage(
     // overfills or the shards run out. Shards whose region precedes the
     // token return nothing at O(depth) seek cost.
     for (uint32_t s = 0;
-         s < num_shards() && page.entries.size() <= page_size; ++s) {
-      if (!ShardIntersects(s, min, max)) {
+         s < l.trees.size() && page.entries.size() <= page_size; ++s) {
+      if (!l.table.Intersects(s, min, max)) {
         continue;
       }
       const size_t want = page_size + 1 - page.entries.size();
-      EpochManager::ReadGuard guard(epochs_);
-      WindowPage sub = shards_[s]->reader()->QueryWindowPage(min, max, want,
-                                                             resume_after);
+      WindowPage sub = l.trees[s].QueryWindowPage(min, max, want, resume_after);
       std::move(sub.entries.begin(), sub.entries.end(),
                 std::back_inserter(page.entries));
     }
   } else {
     // Hash routing: the global first page after the token is contained in
     // the union of every shard's first page_size + 1 entries after it —
-    // fetch those in parallel, z-merge, truncate below.
-    std::vector<WindowPage> per(num_shards());
-    pool_->ParallelFor(num_shards(), [&](size_t s) {
-      EpochManager::ReadGuard guard(epochs_);
-      per[s] = shards_[s]->reader()->QueryWindowPage(min, max, page_size + 1,
-                                                     resume_after);
-    });
-    for (auto& sub : per) {
+    // collect those, z-merge, truncate below.
+    for (const PhTree& tree : l.trees) {
+      WindowPage sub =
+          tree.QueryWindowPage(min, max, page_size + 1, resume_after);
       std::move(sub.entries.begin(), sub.entries.end(),
                 std::back_inserter(page.entries));
     }
@@ -437,20 +372,23 @@ WindowPage PhTreeSharded::QueryWindowPage(
 std::vector<KnnResult> PhTreeSharded::KnnSearch(
     std::span<const uint64_t> center, size_t n, KnnMetric metric) const {
   assert(center.size() == dim_);
-  std::vector<KnnResult> merged;
   if (n == 0) {
-    return merged;
+    return {};
   }
+  EpochManager::ReadGuard guard(epochs_);
+  const Layout& l = layout();
   const uint32_t S = num_shards();
-  auto search_shard = [&](uint32_t s) {
-    // Called from this thread and from pool threads: each call announces
-    // its own epoch slot.
-    EpochManager::ReadGuard guard(epochs_);
-    return phtree::KnnSearch(*shards_[s]->reader(), center, n, metric);
-  };
   if (S == 1) {
-    return search_shard(0);
+    return phtree::KnnSearch(l.trees[0], center, n, metric);
   }
+  // Same total order as the single-tree search: distance first, z-order of
+  // the key on exact ties, so merging per-shard results reproduces it.
+  auto less = [](const KnnResult& a, const KnnResult& b) {
+    if (a.dist2 != b.dist2) {
+      return a.dist2 < b.dist2;
+    }
+    return ZOrderLess(a.key, b.key);
+  };
   // Shards ordered by the minimum distance of their region to the center.
   struct ShardDist {
     uint32_t s;
@@ -459,53 +397,39 @@ std::vector<KnnResult> PhTreeSharded::KnnSearch(
   std::vector<ShardDist> order;
   order.reserve(S);
   for (uint32_t s = 0; s < S; ++s) {
-    order.push_back({s, ShardMinDist2(s, center, metric)});
+    order.push_back({s, l.table.MinDist2(s, center, metric)});
   }
   std::sort(order.begin(), order.end(),
             [](const ShardDist& a, const ShardDist& b) {
               return a.min_dist2 < b.min_dist2;
             });
-  // The nearest shard is searched first to establish the global cut-off:
-  // once it yields n candidates, any shard whose region cannot beat the
-  // current n-th distance is pruned. Adding candidates never worsens the
-  // n-th distance, so pruning against this early bound stays correct.
-  merged = search_shard(order[0].s);
-  const double bound = merged.size() >= n
-                           ? merged.back().dist2
-                           : std::numeric_limits<double>::infinity();
-  std::vector<uint32_t> rest;
-  for (size_t i = 1; i < order.size(); ++i) {
-    if (order[i].min_dist2 <= bound) {
-      rest.push_back(order[i].s);
+  std::vector<KnnResult> merged;
+  for (const ShardDist& sd : order) {
+    // The global n-th distance so far bounds every later shard; adding
+    // candidates never worsens it. Exact ties stay in for the z-order cut.
+    const double bound = merged.size() >= n
+                             ? merged.back().dist2
+                             : std::numeric_limits<double>::infinity();
+    if (sd.min_dist2 > bound) {
+      break;  // `order` is ascending: no later shard can qualify either
     }
-  }
-  if (!rest.empty()) {
-    std::vector<std::vector<KnnResult>> per(rest.size());
-    pool_->ParallelFor(rest.size(), [&](size_t i) {
-      per[i] = search_shard(rest[i]);
-    });
-    size_t extra = 0;
-    for (const auto& v : per) {
-      extra += v.size();
+    std::vector<KnnResult> found =
+        phtree::KnnSearch(l.trees[sd.s], center, n, metric, bound);
+    if (merged.empty()) {
+      merged = std::move(found);
+      continue;
     }
-    merged.reserve(merged.size() + extra);
-    for (auto& v : per) {
-      std::move(v.begin(), v.end(), std::back_inserter(merged));
+    std::vector<KnnResult> next;
+    next.reserve(std::min(n, merged.size() + found.size()));
+    std::merge(std::make_move_iterator(merged.begin()),
+               std::make_move_iterator(merged.end()),
+               std::make_move_iterator(found.begin()),
+               std::make_move_iterator(found.end()), std::back_inserter(next),
+               less);
+    if (next.size() > n) {
+      next.resize(n);
     }
-  }
-  // Same total order as the single-tree search: distance first, z-order of
-  // the key on exact ties. Without the tie-break std::sort (unstable) and
-  // the per-shard heaps would order equal-distance candidates arbitrarily
-  // and the sharded result could diverge from the single-tree oracle.
-  std::sort(merged.begin(), merged.end(),
-            [](const KnnResult& a, const KnnResult& b) {
-              if (a.dist2 != b.dist2) {
-                return a.dist2 < b.dist2;
-              }
-              return ZOrderLess(a.key, b.key);
-            });
-  if (merged.size() > n) {
-    merged.resize(n);
+    merged = std::move(next);
   }
   return merged;
 }
@@ -513,19 +437,19 @@ std::vector<KnnResult> PhTreeSharded::KnnSearch(
 void PhTreeSharded::ForEach(
     const std::function<void(const PhKey&, uint64_t)>& fn) const {
   EpochManager::ReadGuard guard(epochs_);
-  for (const auto& shard : shards_) {
-    shard->reader()->ForEach(fn);
+  for (const PhTree& tree : layout().trees) {
+    tree.ForEach(fn);
   }
 }
 
 PhTreeStats PhTreeSharded::ComputeStats() const {
   PhTreeStats total;
   total.epoch = epochs_.epoch();
-  for (const auto& shard : shards_) {
+  for (uint32_t shard = 0; shard < num_shards(); ++shard) {
     // Writer mutex: the stats walk reads arena accounting (freelists,
     // retired queue) that only the writer side may touch.
-    std::lock_guard lock(shard->mutex);
-    const PhTreeStats s = shard->reader()->ComputeStats();
+    std::lock_guard lock(mutexes_[shard].mutex);
+    const PhTreeStats s = layout().trees[shard].ComputeStats();
     total.n_entries += s.n_entries;
     total.n_nodes += s.n_nodes;
     total.n_hc_nodes += s.n_hc_nodes;
@@ -549,46 +473,81 @@ PhTreeStats PhTreeSharded::ComputeStats() const {
   return total;
 }
 
-std::vector<PhTree> PhTreeSharded::BuildShardTrees(
-    std::span<const PhEntry> entries, const PhTreeConfig& config) const {
+std::unique_ptr<PhTreeSharded::Layout> PhTreeSharded::BuildLayout(
+    std::span<const PhEntry> entries, const PhTreeConfig& config,
+    RoutingTable table) const {
   const uint32_t S = num_shards();
   std::vector<std::vector<size_t>> part(S);
   for (size_t i = 0; i < entries.size(); ++i) {
-    part[ShardOf(entries[i].key)].push_back(i);
+    assert(entries[i].key.size() == dim_);
+    part[table.ShardOf(entries[i].key)].push_back(i);
   }
-  std::vector<PhTree> trees;
-  trees.reserve(S);
+  auto next = std::make_unique<Layout>(Layout{std::move(table), {}});
+  next->trees.reserve(S);
   for (uint32_t s = 0; s < S; ++s) {
-    trees.emplace_back(dim_, config);
+    next->trees.emplace_back(dim_, config);
   }
-  pool_->ParallelFor(S, [&](size_t s) {
-    trees[s].ReserveNodes(part[s].size());
-    for (const size_t i : part[s]) {
-      trees[s].Insert(entries[i].key, entries[i].value);
+  if (!entries.empty()) {
+    // Plain trees while private: no copy-on-write clones to retire.
+    pool_->ParallelFor(S, [&](size_t s) {
+      next->trees[s].ReserveNodes(part[s].size());
+      for (const size_t i : part[s]) {
+        next->trees[s].Insert(entries[i].key, entries[i].value);
+      }
+    });
+  }
+  for (PhTree& tree : next->trees) {
+    tree.EnableMvcc(&epochs_);
+  }
+  return next;
+}
+
+bool PhTreeSharded::Install(std::unique_ptr<Layout> next,
+                            const PhTreeConfig& config, bool only_if_empty) {
+  Layout* old = nullptr;
+  {
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(num_shards());
+    for (WriterMutex& m : mutexes_) {
+      locks.emplace_back(m.mutex);
     }
-  });
-  return trees;
+    if (only_if_empty) {
+      for (const PhTree& tree : layout().trees) {
+        if (tree.size() != 0) {
+          return false;
+        }
+      }
+    }
+    config_ = config;
+    old = layout_.exchange(next.release(), std::memory_order_acq_rel);
+  }
+  // The displaced trees' destructors reset their whole arenas at once —
+  // legal only once no lock-free reader can still hold a node of them (or
+  // route by the displaced table).
+  epochs_.SynchronizeFullGrace();
+  delete old;
+  return true;
 }
 
 Status PhTreeSharded::Save(const std::string& path,
                            const SaveOptions& options) const {
-  const uint32_t S = num_shards();
   // All writer mutexes taken together (in index order, like every
   // cross-shard path here) => the snapshot is the one cross-shard
   // consistent view. Lock-free readers are unaffected throughout.
   std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(S);
-  for (const auto& shard : shards_) {
-    locks.emplace_back(shard->mutex);
+  locks.reserve(num_shards());
+  for (WriterMutex& m : mutexes_) {
+    locks.emplace_back(m.mutex);
   }
+  const Layout& l = layout();
   PhTree merged(dim_, config_);
   size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->reader()->size();
+  for (const PhTree& tree : l.trees) {
+    total += tree.size();
   }
   merged.ReserveNodes(total);
-  for (const auto& shard : shards_) {
-    shard->reader()->ForEach([&merged](const PhKey& key, uint64_t value) {
+  for (const PhTree& tree : l.trees) {
+    tree.ForEach([&merged](const PhKey& key, uint64_t value) {
       merged.Insert(key, value);
     });
   }
@@ -615,30 +574,22 @@ Status PhTreeSharded::Load(const std::string& path,
     entries.push_back(PhEntry{key, value});
   });
   const PhTreeConfig cfg = loaded->config();
-  // Replacement shards are built in parallel while readers keep using the
-  // old ones; the swap below is the only all-shard exclusive section.
-  std::vector<PhTree> trees = BuildShardTrees(entries, cfg);
-  std::vector<PhTree*> old(num_shards(), nullptr);
-  {
-    std::vector<std::unique_lock<std::mutex>> locks;
-    locks.reserve(num_shards());
-    for (const auto& shard : shards_) {
-      locks.emplace_back(shard->mutex);
-    }
-    config_ = cfg;
-    for (uint32_t s = 0; s < num_shards(); ++s) {
-      PhTree* fresh = new PhTree(std::move(trees[s]));
-      fresh->EnableMvcc(&epochs_);
-      old[s] = shards_[s]->tree.exchange(fresh, std::memory_order_acq_rel);
+  std::lock_guard reload(reload_mutex_);
+  // Replacement shards are built while readers keep using the old ones;
+  // the swap is the only all-shard exclusive section. A fresh table needs
+  // the tree to stay empty until the swap; if a writer got in first, the
+  // second pass builds for the current table (steady under
+  // reload_mutex_).
+  for (;;) {
+    std::optional<RoutingTable> fresh =
+        empty() ? DataTable(entries) : std::nullopt;
+    const bool only_if_empty = fresh.has_value();
+    std::unique_ptr<Layout> next = BuildLayout(
+        entries, cfg, fresh ? std::move(*fresh) : layout().table);
+    if (Install(std::move(next), cfg, only_if_empty)) {
+      return Status::Ok();
     }
   }
-  // The displaced trees' destructors reset their whole arenas at once —
-  // legal only once no lock-free reader can still hold a node of them.
-  epochs_.SynchronizeFullGrace();
-  for (PhTree* tree : old) {
-    delete tree;
-  }
-  return Status::Ok();
 }
 
 }  // namespace phtree

@@ -1,9 +1,10 @@
 // Sharded concurrent PH-tree (paper Sect. 5, third outlook item). Where
 // PhTreeSync serialises every writer behind one tree-wide lock, this class
-// partitions the key space by the top bits of the z-interleaved address
-// into S = 2^b shards. Each shard is an independent PhTree with its own
-// NodeArena and its own writer mutex; all shards share ONE EpochManager
-// and run in MVCC mode (PhTree::EnableMvcc), so:
+// partitions the key space into S contiguous ranges of the z-order (the
+// bit-interleaved order a PH-tree enumerates its keys in, Sect. 3.2). Each
+// shard is an independent PhTree with its own NodeArena and its own writer
+// mutex; all shards share ONE EpochManager and run in MVCC mode
+// (PhTree::EnableMvcc), so:
 //   * readers never lock anywhere — point, window and kNN reads announce
 //     themselves in an epoch slot and walk copy-on-write-published nodes,
 //   * writers on different shards never contend (the paper's two-node
@@ -11,31 +12,39 @@
 //   * bulk loads partition the input once and build all shards in
 //     parallel on a ThreadPool,
 //   * window/count/kNN queries clip the query against each shard's
-//     key-space region and fan out only to the shards that intersect.
+//     key-space region and visit only the shards that intersect it.
 //
-// Shard routing. The PH-tree orders keys by their bit-interleaved
-// z-address: level 0 is the k-bit hypercube address formed from bit 63 of
-// every dimension, level 1 from bit 62, and so on. Shard index = the top b
-// bits of that z-address (bit 63 of dim 0, bit 63 of dim 1, ..., then bit
-// 62 of dim 0, ...). Consequences:
-//   * each shard owns a contiguous z-order range, i.e. an axis-aligned box
-//     of the key space (dimension d has its top ceil/floor(b/k) bits
-//     fixed), which is what makes query clipping exact;
-//   * ascending shard index == ascending z-address, so concatenating
-//     per-shard window results in shard order yields the same global
-//     z-order that a single PhTree's window iterator produces.
-// Routing modes. Z-prefix routing makes every shard an axis-aligned box,
-// which buys exact query clipping, kNN shard pruning and ordered merges —
-// but its balance is the balance of the top key bits. That is perfect for
-// keys spread over the full 64-bit space and terrible for IEEE-encoded
-// doubles in a narrow range (uniform [0,1)^k data shares its sign and
-// exponent bits, so EVERY point routes to one shard). For such workloads
-// ShardRouting::kHash routes by a mixed hash of the whole key: balance
-// becomes distribution-independent, at the price of fan-out — every shard
-// region is the whole space, so window/kNN queries visit all S shards and
-// window results are k-way z-merged instead of concatenated. DESIGN.md
-// quantifies the trade-off; pick kZPrefix for integer/full-range keys,
-// kHash for write-heavy double workloads.
+// Shard routing. One immutable routing table (phtree/shard_routing.h)
+// holds S-1 ascending z-order split keys; shard s owns the z-range
+// between split s-1 and split s, so ShardOf is a binary search over the
+// splits. Each range is also stored as its exact cover by aligned boxes
+// (the z-blocks of the range), which makes query clipping and kNN shard
+// pruning exact. Ascending shard index is ascending z-order, so per-shard
+// window results concatenate in shard order into the global z-order a
+// single PhTree produces.
+//   * A new tree starts with prefix splits: shard s owns the keys whose top
+//     log2(S) z-bits equal s.
+//   * BulkLoad or Load into an EMPTY tree replaces the table with splits
+//     at the z-order quantiles of the loaded keys (a deterministic sample
+//     of at most 64k keys; each quantile is rounded to the shortest
+//     z-prefix that separates it from the sample key before it). Encoded
+//     doubles in a narrow range share their top bits, so prefix splits
+//     would send every such key to one shard; quantile splits balance
+//     them. Loads into a non-empty tree keep the current table.
+//   * The table and the S shard trees filled under it form one immutable
+//     layout, replaced as a whole with one atomic pointer store, under
+//     every writer mutex and only while all shards are empty (or, for a
+//     Load into a non-empty tree, with the table kept). A read loads the
+//     layout once under its epoch guard, so a multi-shard read sees one
+//     table and its trees. A writer routes under a short guard, drops it,
+//     takes its shard mutex, routes again under the layout it now holds
+//     steady, and retries if the shard changed. A replaced layout is freed
+//     after a full epoch grace period.
+//
+// ShardRouting::kHash routes by a mixed hash of the whole key instead:
+// every shard region is the whole space, so window/kNN queries visit all S
+// shards and window results are z-merged instead of concatenated. DESIGN.md
+// compares the two.
 //
 // Consistency model: operations are linearisable per shard, not across
 // shards. A query that fans out over multiple shards sees each shard at a
@@ -61,6 +70,7 @@
 #include "phtree/knn.h"
 #include "phtree/phtree.h"
 #include "phtree/serialize.h"
+#include "phtree/shard_routing.h"
 
 namespace phtree {
 
@@ -69,8 +79,8 @@ namespace phtree {
 
 /// How keys are assigned to shards (see the file comment).
 enum class ShardRouting : uint8_t {
-  /// Top log2(S) bits of the z-interleaved address. Shards are axis-aligned
-  /// boxes: queries clip, kNN prunes, merges are ordered concatenation.
+  /// Contiguous z-order ranges between split keys (see the file comment).
+  /// Queries clip, kNN prunes, merges are ordered concatenation.
   kZPrefix,
   /// Mixed hash of all key words. Distribution-independent balance; every
   /// query visits all shards and window results are z-merged.
@@ -85,16 +95,19 @@ enum class ShardRouting : uint8_t {
 class PhTreeSharded {
  public:
   /// Creates `num_shards` (a power of two, >= 1) empty shards for
-  /// `dim`-dimensional keys. Parallel bulk loads and query fan-outs run on
-  /// `pool` (not owned; must outlive the tree); nullptr uses the
-  /// process-wide ThreadPool::Shared().
+  /// `dim`-dimensional keys. Parallel bulk loads run on `pool` (not owned;
+  /// must outlive the tree); nullptr uses the process-wide
+  /// ThreadPool::Shared(). Queries run in the calling thread.
   explicit PhTreeSharded(uint32_t dim, uint32_t num_shards = 8,
                          ShardRouting routing = ShardRouting::kZPrefix,
                          const PhTreeConfig& config = PhTreeConfig{},
                          ThreadPool* pool = nullptr);
+  ~PhTreeSharded();
 
   uint32_t dim() const { return dim_; }
-  uint32_t num_shards() const { return static_cast<uint32_t>(shards_.size()); }
+  uint32_t num_shards() const {
+    return static_cast<uint32_t>(mutexes_.size());
+  }
   ShardRouting routing() const { return routing_; }
   const PhTreeConfig& config() const { return config_; }
 
@@ -103,8 +116,8 @@ class PhTreeSharded {
   size_t size() const;
   bool empty() const { return size() == 0; }
 
-  /// Shard index for `key`: its top `log2(num_shards)` z-interleaved bits
-  /// (kZPrefix) or a mixed hash of all its words (kHash).
+  /// Shard index for `key` under the current routing table: the z-range
+  /// holding it (kZPrefix) or a mixed hash of all its words (kHash).
   uint32_t ShardOf(std::span<const uint64_t> key) const;
 
   // ---- Point operations (single-shard critical sections) ---------------
@@ -148,8 +161,16 @@ class PhTreeSharded {
   // ---- Bulk load --------------------------------------------------------
 
   /// Inserts all `entries`, partitioning them by shard in one pass and
-  /// building every shard in parallel on the pool (each build task holds
-  /// only its own shard's writer lock). Duplicate keys follow Insert
+  /// filling every shard in parallel on the pool. Into an empty tree this
+  /// is Load's off-line path: the routing table is chosen from `entries`
+  /// (kZPrefix, at least one entry per shard), private plain trees are
+  /// built and swapped in under all writer mutexes, and the call returns
+  /// after a full epoch grace period. So, like Load, a BulkLoad into an
+  /// empty tree must not be called from inside a visitor or while the
+  /// calling thread holds an epoch guard (the grace would wait for the
+  /// caller). Into a non-empty tree each build task inserts under its own
+  /// shard's writer lock, beside concurrent point writers. BulkLoads
+  /// serialise with each other and with Load. Duplicate keys follow Insert
   /// semantics: first occurrence wins, later ones are dropped. Returns the
   /// number of newly inserted entries.
   size_t BulkLoad(std::span<const PhEntry> entries);
@@ -158,23 +179,22 @@ class PhTreeSharded {
 
   /// Entries inside [min, max], globally z-ordered (the same sequence a
   /// single PhTree would produce). Shards that intersect the box are
-  /// queried in parallel; with kZPrefix routing the per-shard z-ordered
-  /// results are simply concatenated in shard order (which IS z-order
-  /// across shards), with kHash they are z-merged.
+  /// queried one after another in the calling thread; with kZPrefix
+  /// routing their z-ordered results are appended in shard order (which IS
+  /// z-order across shards), with kHash they are z-merged.
   std::vector<std::pair<PhKey, uint64_t>> QueryWindow(
       std::span<const uint64_t> min, std::span<const uint64_t> max) const;
 
   /// Visitor form: calls `visitor(key, value)` for every entry in the box
-  /// without materialising results, running serially shard by shard (the
-  /// visitor is user code — it is never called from pool threads). The
+  /// without materialising results, shard by shard. The
   /// sequence is globally z-ordered with kZPrefix routing; with kHash it
   /// is z-ordered only within each shard's run.
   void QueryWindow(
       std::span<const uint64_t> min, std::span<const uint64_t> max,
       const std::function<void(const PhKey&, uint64_t)>& visitor) const;
 
-  /// Number of entries inside [min, max]; intersecting shards count in
-  /// parallel.
+  /// Number of entries inside [min, max], summed over the intersecting
+  /// shards.
   size_t CountWindow(std::span<const uint64_t> min,
                      std::span<const uint64_t> max) const;
 
@@ -183,6 +203,7 @@ class PhTreeSharded {
   /// kZPrefix routing the page fills shard by shard (ascending shard index
   /// is ascending z-order); with kHash every shard contributes its first
   /// candidates after the token and the union is z-merged and truncated.
+  /// One epoch guard covers the whole page.
   /// Reads are lock-free — the token keeps the scan stable across
   /// mutations between pages, exactly as in the single-tree case.
   WindowPage QueryWindowPage(std::span<const uint64_t> min,
@@ -192,12 +213,12 @@ class PhTreeSharded {
 
   // ---- kNN (per-shard candidates + global distance cut-off) -------------
 
-  /// The `n` entries closest to `center`, ascending by distance. The shard
-  /// whose region is nearest to `center` is searched first to establish an
-  /// upper bound (the current n-th candidate distance); every other shard
-  /// whose region's minimum distance exceeds that bound is pruned, the
-  /// survivors are searched in parallel, and the per-shard top-n candidate
-  /// lists are merged under the global cut-off.
+  /// The `n` entries closest to `center`, ascending by distance (exact ties
+  /// in z-order, like phtree::KnnSearch). Shards are visited by ascending
+  /// minimum distance of their region to `center`; the nearest is searched
+  /// unbounded, every later one with the current global n-th distance as
+  /// its `max_dist2`, and the visit stops at the first shard whose region
+  /// lies beyond that distance.
   std::vector<KnnResult> KnnSearch(
       std::span<const uint64_t> center, size_t n,
       KnnMetric metric = KnnMetric::kL2Integer) const;
@@ -215,18 +236,16 @@ class PhTreeSharded {
   /// only the writer side may touch); no cross-shard snapshot.
   PhTreeStats ComputeStats() const;
 
-  /// The axis-aligned key-space box owned by shard `s`: on return,
-  /// lo[d]/hi[d] are the smallest/largest coordinate of dimension d that
-  /// routes to `s`. Used by the clipper, tests and the design doc example.
-  /// With kHash routing every shard's region is the whole key space.
+  /// The bounding box of shard `s`'s cover: on return, lo[d]/hi[d] bound
+  /// the coordinates of dimension d that route to `s` (exact for prefix
+  /// splits, whose ranges are boxes). An empty range gives lo > hi. With
+  /// kHash routing every shard's region is the whole key space.
   void ShardRegion(uint32_t s, PhKey* lo, PhKey* hi) const;
 
   /// Direct access to shard `s`'s tree, WITHOUT synchronisation — only
   /// valid while no other thread mutates the tree (tests, validation,
   /// stats tooling).
-  const PhTree& UnsafeShard(uint32_t s) const {
-    return *shards_[s]->tree.load(std::memory_order_acquire);
-  }
+  const PhTree& UnsafeShard(uint32_t s) const;
 
   /// The epoch manager all shards share. Exposed for tests and stats
   /// tooling.
@@ -246,61 +265,85 @@ class PhTreeSharded {
 
   /// Replaces the whole content from a v2 (or legacy v1) snapshot written
   /// by Save() or by SavePhTreeOr on a plain tree: the stream is loaded
-  /// and verified (LoadPhTreeOr), its entries are re-partitioned and the
+  /// and verified (LoadPhTreeOr), its entries are re-partitioned (under a
+  /// table chosen from them if this tree is empty, see BulkLoad) and the
   /// replacement shards built in parallel off-line, then all writer
-  /// mutexes are taken and the shard trees swapped in with one atomic
-  /// pointer store each; the displaced trees are destroyed after a full
-  /// epoch grace period, so in-flight lock-free readers finish on their
-  /// snapshot. The stream's dimensionality must match (kInvalidArgument
-  /// otherwise); the stream's stored config replaces this tree's config,
-  /// like LoadPhTreeOr.
+  /// mutexes are taken and the new trees swapped in with one atomic store
+  /// of the layout; the displaced trees are destroyed after a full epoch
+  /// grace period, so in-flight lock-free readers finish on their
+  /// snapshot (and Load must not be called while the calling thread holds
+  /// an epoch guard). The stream's dimensionality must match
+  /// (kInvalidArgument otherwise); the stream's stored config replaces
+  /// this tree's config, like LoadPhTreeOr.
   Status Load(const std::string& path, const LoadOptions& options = {});
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;  // writers only; readers go lock-free
-    std::atomic<PhTree*> tree;
-    Shard(uint32_t dim, const PhTreeConfig& config, EpochManager* epochs)
-        : tree(new PhTree(dim, config)) {
-      tree.load(std::memory_order_relaxed)->EnableMvcc(epochs);
-    }
-    ~Shard() { delete tree.load(std::memory_order_relaxed); }
-    Shard(const Shard&) = delete;
-    Shard& operator=(const Shard&) = delete;
-    /// The tree, from under the shard's writer mutex.
-    PhTree* writer() { return tree.load(std::memory_order_relaxed); }
-    /// The tree, from a lock-free reader under an epoch guard.
-    const PhTree* reader() const {
-      return tree.load(std::memory_order_acquire);
-    }
+  /// The routing table and the shard trees filled under it (sharded.cc).
+  struct Layout;
+
+  /// A shard's writer mutex, on its own cache line.
+  struct alignas(64) WriterMutex {
+    std::mutex mutex;
   };
 
-  /// True iff shard `s`'s region intersects the box [min, max].
-  bool ShardIntersects(uint32_t s, std::span<const uint64_t> min,
-                       std::span<const uint64_t> max) const;
+  /// The writer mutexes of the shards keys `a` and `b` route to (`b`
+  /// empty: `a`'s only), held, and the layout they route by, which stays
+  /// current while they are held; see LockRoute.
+  struct Route {
+    Layout* layout;
+    uint32_t a;
+    uint32_t b;
+    std::unique_lock<std::mutex> first;
+    std::unique_lock<std::mutex> second;
+  };
 
-  /// Minimum squared distance from `center` to shard `s`'s region, in the
-  /// metric's coordinate space.
-  double ShardMinDist2(uint32_t s, std::span<const uint64_t> center,
-                       KnnMetric metric) const;
+  /// Routes `a` and `b` under a short epoch guard, then, with no guard
+  /// held, locks their shards in ascending index order (the deadlock-free
+  /// total order) and routes again under the layout the locks hold steady,
+  /// retrying until both routes agree.
+  Route LockRoute(std::span<const uint64_t> a,
+                  std::span<const uint64_t> b = {});
 
-  /// Builds one PhTree per shard from `entries` in parallel (no locks —
-  /// the returned trees are private until swapped in).
-  std::vector<PhTree> BuildShardTrees(std::span<const PhEntry> entries,
-                                      const PhTreeConfig& config) const;
+  /// The current layout. Valid under an epoch guard, under any writer
+  /// mutex, or under reload_mutex_.
+  const Layout& layout() const {
+    return *layout_.load(std::memory_order_acquire);
+  }
+
+  /// The table BulkLoad or Load of `entries` into an empty tree installs:
+  /// splits at their quantiles, or nullopt where the current table stays
+  /// (kHash, one shard, fewer entries than shards).
+  std::optional<RoutingTable> DataTable(
+      std::span<const PhEntry> entries) const;
+
+  /// A private layout routing by `table`, with one MVCC PhTree per shard
+  /// built from `entries` in parallel (no locks).
+  std::unique_ptr<Layout> BuildLayout(std::span<const PhEntry> entries,
+                                      const PhTreeConfig& config,
+                                      RoutingTable table) const;
+
+  /// Under all writer mutexes, swaps `next` in as the layout and `config`
+  /// in as the config; then waits a full epoch grace period and frees the
+  /// replaced layout. With `only_if_empty`, installs nothing and returns
+  /// false if any shard holds an entry. Caller holds reload_mutex_.
+  bool Install(std::unique_ptr<Layout> next, const PhTreeConfig& config,
+               bool only_if_empty);
 
   uint32_t dim_;
-  uint32_t shard_bits_;  // log2(num_shards)
   ShardRouting routing_;
   PhTreeConfig config_;
   ThreadPool* pool_;
   // One epoch manager for ALL shards: a reader announces itself once per
   // API call, however many shards the operation fans out to. Declared
-  // before shards_ so it outlives every shard's arena.
+  // before layout_ so it outlives every shard's arena.
   mutable EpochManager epochs_;
-  // unique_ptr: Shard is neither movable nor copyable (mutex + atomic),
-  // and the indirection keeps shards on separate cache lines.
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // Writers only; readers go lock-free.
+  mutable std::vector<WriterMutex> mutexes_;
+  // Owned. Replaced only by Install, i.e. under reload_mutex_ and every
+  // writer mutex.
+  std::atomic<Layout*> layout_;
+  // Serialises BulkLoad and Load, the callers of Install.
+  std::mutex reload_mutex_;
 };
 
 }  // namespace phtree

@@ -10,6 +10,7 @@
 #include <span>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 
 #include "common/fault.h"
 #include "common/rng.h"
@@ -1096,16 +1097,19 @@ class Runner {
 // ---- Concurrent mode ----------------------------------------------------
 //
 // One writer (the calling thread) replays the command stream against a
-// single PhTreeSync with exact oracle comparison after every op — valid
-// because nothing else mutates — while N reader threads run the lock-free
-// read path (epoch guard + acquire loads, no lock) against the same tree
-// the whole time. Mid-churn a reader cannot know the exact result set, so
-// it checks the invariants that survive interleaving: window hits inside
-// the box and strictly z-ascending, kNN distances non-decreasing, pages
-// bounded by their size. Exactness comes from the quiesced audits: every
+// PhTreeSync and an 8-shard PhTreeSharded with exact oracle comparison
+// after every op — valid because nothing else mutates — while N reader
+// threads run the lock-free read paths (epoch guard + acquire loads, no
+// lock) against both trees the whole time. kSaveLoad also re-routes the
+// sharded tree: Clear, then BulkLoad of the content into the empty tree,
+// which installs a routing table chosen from the data under the readers.
+// Mid-churn a reader cannot know the exact result set, so it checks the
+// invariants that survive interleaving: window hits inside the box and
+// strictly z-ascending, kNN distances non-decreasing, pages bounded by
+// their size. Exactness comes from the quiesced audits: every
 // validate_every ops the writer snapshots the oracle, bumps an audit
 // ticket (release) and parks until each reader has compared the frozen
-// tree's size and full content against the snapshot and acked (acquire/
+// trees' size and full content against the snapshot and acked (acquire/
 // release handshake; no locks on the read side even here).
 class ConcurrentRunner {
  public:
@@ -1114,11 +1118,12 @@ class ConcurrentRunner {
         source_(source),
         model_(opts.commands.dim),
         tree_(opts.commands.dim),
+        sharded_(opts.commands.dim, 8),
         acks_(opts.reader_threads) {}
 
   DiffReport Run() {
     DiffReport report;
-    report.variants = 1;
+    report.variants = 2;
     std::vector<std::thread> readers;
     readers.reserve(opts_.reader_threads);
     for (size_t t = 0; t < opts_.reader_threads; ++t) {
@@ -1160,10 +1165,24 @@ class ConcurrentRunner {
   }
 
  private:
-  std::string Where(size_t op_index, const Command& cmd) const {
+  static constexpr const char* kSyncName = "PhTreeSync/mvcc";
+  static constexpr const char* kShardedName = "PhTreeSharded/z8";
+
+  static const char* NameOf(const PhTreeSync&) { return kSyncName; }
+  static const char* NameOf(const PhTreeSharded&) { return kShardedName; }
+
+  /// Calls `fn(tree)` for the PhTreeSync, then the PhTreeSharded.
+  template <typename Fn>
+  void OnEachTree(Fn&& fn) {
+    fn(tree_);
+    fn(sharded_);
+  }
+
+  std::string Where(size_t op_index, const Command& cmd,
+                    const char* variant) const {
     std::ostringstream os;
     os << "op " << op_index << " " << OpKindName(cmd.kind) << " key "
-       << KeyToString(cmd.key) << " variant PhTreeSync/mvcc: ";
+       << KeyToString(cmd.key) << " variant " << variant << ": ";
     return os.str();
   }
 
@@ -1172,11 +1191,17 @@ class ConcurrentRunner {
     report->divergence = reader_failure_;
   }
 
-  Entries TreeContent() const {
+  /// Full content in z-order, read on the writer thread.
+  template <typename Tree>
+  static Entries TreeContent(const Tree& tree) {
     Entries out;
-    out.reserve(tree_.size());
-    tree_.UnsafeTree().ForEach(
-        [&out](const PhKey& k, uint64_t v) { out.emplace_back(k, v); });
+    out.reserve(tree.size());
+    auto add = [&out](const PhKey& k, uint64_t v) { out.emplace_back(k, v); };
+    if constexpr (std::is_same_v<Tree, PhTreeSync>) {
+      tree.UnsafeTree().ForEach(add);  // no other thread mutates
+    } else {
+      tree.ForEach(add);
+    }
     return out;
   }
 
@@ -1188,35 +1213,62 @@ class ConcurrentRunner {
     return out;
   }
 
+  /// Saves the tree and loads the snapshot back into it.
+  template <typename Tree>
+  std::string SaveLoad(Tree& tree) const {
+    const std::string path = opts_.tmp_dir + "/diff_concurrent.snapshot";
+    if (Status s = tree.Save(path); !s.ok()) {
+      return "snapshot save failed: " + s.ToString();
+    }
+    LoadOptions load;
+    load.validate_structure = true;
+    // Load swaps whole published trees under the live readers: they see
+    // old or new, both with identical content, and the old one outlives
+    // every guard that could still reference it.
+    if (Status s = tree.Load(path, load); !s.ok()) {
+      return "snapshot load failed: " + s.ToString();
+    }
+    return std::string();
+  }
+
   // Writer-side application with exact comparison. All reads here run on
   // the writer thread, so the oracle answer is the only correct one even
-  // while readers hammer the tree.
+  // while readers hammer the trees.
   void Apply(const Command& cmd, DiffReport* report) {
     const size_t op_index = report->ops_run;
     ++report->replayed;
+    // Records the first divergence only.
+    auto fail = [&](const char* variant, const std::string& what) {
+      if (report->divergence.empty()) {
+        report->divergence = Where(op_index, cmd, variant) + what;
+      }
+    };
     switch (cmd.kind) {
       case OpKind::kInsert: {
         const bool expect = model_.Insert(cmd.key, cmd.value);
-        if (tree_.Insert(cmd.key, cmd.value) != expect) {
-          report->divergence =
-              Where(op_index, cmd) + "Insert newly-inserted mismatch";
-        }
+        OnEachTree([&](auto& tree) {
+          if (tree.Insert(cmd.key, cmd.value) != expect) {
+            fail(NameOf(tree), "Insert newly-inserted mismatch");
+          }
+        });
         break;
       }
       case OpKind::kInsertOrAssign: {
         const bool expect = model_.InsertOrAssign(cmd.key, cmd.value);
-        if (tree_.InsertOrAssign(cmd.key, cmd.value) != expect) {
-          report->divergence =
-              Where(op_index, cmd) + "InsertOrAssign newly-inserted mismatch";
-        }
+        OnEachTree([&](auto& tree) {
+          if (tree.InsertOrAssign(cmd.key, cmd.value) != expect) {
+            fail(NameOf(tree), "InsertOrAssign newly-inserted mismatch");
+          }
+        });
         break;
       }
       case OpKind::kErase: {
         const bool expect = model_.Erase(cmd.key);
-        if (tree_.Erase(cmd.key) != expect) {
-          report->divergence =
-              Where(op_index, cmd) + "Erase hit/miss mismatch";
-        }
+        OnEachTree([&](auto& tree) {
+          if (tree.Erase(cmd.key) != expect) {
+            fail(NameOf(tree), "Erase hit/miss mismatch");
+          }
+        });
         break;
       }
       case OpKind::kUpdate: {
@@ -1225,19 +1277,23 @@ class ConcurrentRunner {
           value = cmd.value;
         }
         const UpdateOutcome expect = model_.Update(cmd.key, cmd.key2, value);
-        const UpdateOutcome got = tree_.Update(cmd.key, cmd.key2, value);
-        if (got != expect) {
-          report->divergence = Where(op_index, cmd) + "Update to " +
-                               KeyToString(cmd.key2) + " outcome " +
-                               UpdateOutcomeName(got) + " != oracle " +
-                               UpdateOutcomeName(expect);
-        }
+        OnEachTree([&](auto& tree) {
+          const UpdateOutcome got = tree.Update(cmd.key, cmd.key2, value);
+          if (got != expect) {
+            fail(NameOf(tree), "Update to " + KeyToString(cmd.key2) +
+                                   " outcome " + UpdateOutcomeName(got) +
+                                   " != oracle " + UpdateOutcomeName(expect));
+          }
+        });
         break;
       }
       case OpKind::kFind: {
-        if (tree_.Find(cmd.key) != model_.Find(cmd.key)) {
-          report->divergence = Where(op_index, cmd) + "Find result mismatch";
-        }
+        const std::optional<uint64_t> expect = model_.Find(cmd.key);
+        OnEachTree([&](auto& tree) {
+          if (tree.Find(cmd.key) != expect) {
+            fail(NameOf(tree), "Find result mismatch");
+          }
+        });
         break;
       }
       case OpKind::kFindBatch: {
@@ -1246,118 +1302,126 @@ class ConcurrentRunner {
         for (const PhKey& k : cmd.batch) {
           expect.push_back(model_.Find(k));
         }
-        if (tree_.FindBatch(cmd.batch) != expect) {
-          report->divergence = Where(op_index, cmd) + "FindBatch of " +
-                               std::to_string(cmd.batch.size()) +
-                               " keys mismatch";
-        }
+        OnEachTree([&](auto& tree) {
+          if (tree.FindBatch(cmd.batch) != expect) {
+            fail(NameOf(tree), "FindBatch of " +
+                                   std::to_string(cmd.batch.size()) +
+                                   " keys mismatch");
+          }
+        });
         break;
       }
       case OpKind::kWindow: {
         const Entries expect = model_.QueryWindow(cmd.key, cmd.key2);
-        const Entries got = tree_.QueryWindow(cmd.key, cmd.key2);
-        if (got != expect) {
-          report->divergence =
-              Where(op_index, cmd) + "window [" + KeyToString(cmd.key) +
-              ", " + KeyToString(cmd.key2) + "] returned " +
-              std::to_string(got.size()) + " entries, oracle " +
-              std::to_string(expect.size());
-        }
+        OnEachTree([&](auto& tree) {
+          const Entries got = tree.QueryWindow(cmd.key, cmd.key2);
+          if (got != expect) {
+            fail(NameOf(tree), "window [" + KeyToString(cmd.key) + ", " +
+                                   KeyToString(cmd.key2) + "] returned " +
+                                   std::to_string(got.size()) +
+                                   " entries, oracle " +
+                                   std::to_string(expect.size()));
+          }
+        });
         break;
       }
       case OpKind::kCountWindow: {
         const size_t expect = model_.CountWindow(cmd.key, cmd.key2);
-        const size_t got = tree_.CountWindow(cmd.key, cmd.key2);
-        if (got != expect) {
-          report->divergence = Where(op_index, cmd) + "CountWindow " +
-                               std::to_string(got) + " != " +
-                               std::to_string(expect);
-        }
+        OnEachTree([&](auto& tree) {
+          const size_t got = tree.CountWindow(cmd.key, cmd.key2);
+          if (got != expect) {
+            fail(NameOf(tree), "CountWindow " + std::to_string(got) +
+                                   " != " + std::to_string(expect));
+          }
+        });
         break;
       }
       case OpKind::kKnn: {
         const std::vector<KnnResult> expect =
             model_.KnnSearch(cmd.key, cmd.knn_n, KnnMetric::kL2Double);
-        const std::vector<KnnResult> got =
-            tree_.KnnSearch(cmd.key, cmd.knn_n, KnnMetric::kL2Double);
-        bool same = got.size() == expect.size();
-        for (size_t i = 0; same && i < expect.size(); ++i) {
-          same = got[i].key == expect[i].key &&
-                 got[i].value == expect[i].value &&
-                 got[i].dist2 == expect[i].dist2;
-        }
-        if (!same) {
-          report->divergence = Where(op_index, cmd) + "kNN n=" +
-                               std::to_string(cmd.knn_n) + " mismatch";
-        }
+        OnEachTree([&](auto& tree) {
+          const std::vector<KnnResult> got =
+              tree.KnnSearch(cmd.key, cmd.knn_n, KnnMetric::kL2Double);
+          bool same = got.size() == expect.size();
+          for (size_t i = 0; same && i < expect.size(); ++i) {
+            same = got[i].key == expect[i].key &&
+                   got[i].value == expect[i].value &&
+                   got[i].dist2 == expect[i].dist2;
+          }
+          if (!same) {
+            fail(NameOf(tree),
+                 "kNN n=" + std::to_string(cmd.knn_n) + " mismatch");
+          }
+        });
         break;
       }
       case OpKind::kWindowPage: {
-        PhKey token_buf;
-        std::span<const uint64_t> token;
-        const size_t max_pages =
-            model_.size() / std::max<size_t>(cmd.page_size, 1) + 2;
-        for (size_t page_no = 0;; ++page_no) {
-          const WindowPage got =
-              tree_.QueryWindowPage(cmd.key, cmd.key2, cmd.page_size, token);
-          const WindowPage expect =
-              model_.QueryWindowPage(cmd.key, cmd.key2, cmd.page_size, token);
-          if (got.entries != expect.entries || got.more != expect.more ||
-              got.token != expect.token) {
-            report->divergence = Where(op_index, cmd) +
-                                 "QueryWindowPage page " +
-                                 std::to_string(page_no) + " (size " +
-                                 std::to_string(cmd.page_size) + ") mismatch";
-            return;
+        OnEachTree([&](auto& tree) {
+          PhKey token_buf;
+          std::span<const uint64_t> token;
+          const size_t max_pages =
+              model_.size() / std::max<size_t>(cmd.page_size, 1) + 2;
+          for (size_t page_no = 0;; ++page_no) {
+            const WindowPage got =
+                tree.QueryWindowPage(cmd.key, cmd.key2, cmd.page_size, token);
+            const WindowPage expect = model_.QueryWindowPage(
+                cmd.key, cmd.key2, cmd.page_size, token);
+            if (got.entries != expect.entries || got.more != expect.more ||
+                got.token != expect.token) {
+              fail(NameOf(tree), "QueryWindowPage page " +
+                                     std::to_string(page_no) + " (size " +
+                                     std::to_string(cmd.page_size) +
+                                     ") mismatch");
+              return;
+            }
+            if (!expect.more) {
+              return;
+            }
+            if (page_no >= max_pages) {
+              fail(NameOf(tree), "QueryWindowPage drain exceeded " +
+                                     std::to_string(max_pages) + " pages");
+              return;
+            }
+            token_buf = expect.token;
+            token = token_buf;
           }
-          if (!expect.more) {
-            break;
-          }
-          if (page_no >= max_pages) {
-            report->divergence = Where(op_index, cmd) +
-                                 "QueryWindowPage drain exceeded " +
-                                 std::to_string(max_pages) + " pages";
-            return;
-          }
-          token_buf = expect.token;
-          token = token_buf;
-        }
+        });
         break;
       }
       case OpKind::kClear: {
         // PhTreeSync has no Clear; drain through erases. Readers watch
         // the tree shrink one COW publication at a time.
         model_.Clear();
-        const Entries all = TreeContent();
-        for (const auto& [key, value] : all) {
+        for (const auto& [key, value] : TreeContent(tree_)) {
           tree_.Erase(key);
         }
+        sharded_.Clear();
         break;
       }
       case OpKind::kSaveLoad: {
-        if (opts_.tmp_dir.empty()) {
-          break;
+        if (!opts_.tmp_dir.empty()) {
+          OnEachTree([&](auto& tree) {
+            if (std::string err = SaveLoad(tree); !err.empty()) {
+              fail(NameOf(tree), err);
+            }
+          });
         }
-        const std::string path = opts_.tmp_dir + "/diff_concurrent.snapshot";
-        if (Status s = tree_.Save(path); !s.ok()) {
-          report->divergence =
-              Where(op_index, cmd) + "snapshot save failed: " + s.ToString();
-          return;
+        // Re-route: the bulk load into the emptied tree replaces the
+        // routing table while the readers run.
+        sharded_.Clear();
+        std::vector<PhEntry> content;
+        for (auto& [key, value] : ModelContent()) {
+          content.push_back(PhEntry{std::move(key), value});
         }
-        LoadOptions load;
-        load.validate_structure = true;
-        // Load swaps the whole published tree under the live readers:
-        // they see old or new, both with identical content, and the old
-        // one outlives every guard that could still reference it.
-        if (Status s = tree_.Load(path, load); !s.ok()) {
-          report->divergence =
-              Where(op_index, cmd) + "snapshot load failed: " + s.ToString();
-          return;
+        if (sharded_.BulkLoad(content) != content.size()) {
+          fail(kShardedName, "re-route bulk load dropped entries");
         }
-        if (TreeContent() != ModelContent()) {
-          report->divergence =
-              Where(op_index, cmd) + "content changed by round-trip";
-        }
+        const Entries expect = ModelContent();
+        OnEachTree([&](auto& tree) {
+          if (TreeContent(tree) != expect) {
+            fail(NameOf(tree), "content changed by round-trip");
+          }
+        });
         break;
       }
       case OpKind::kBulkLoad: {
@@ -1365,36 +1429,70 @@ class ConcurrentRunner {
         for (const PhEntry& e : cmd.bulk) {
           expect += model_.Insert(e.key, e.value) ? 1 : 0;
         }
-        size_t got = 0;
-        for (const PhEntry& e : cmd.bulk) {
-          got += tree_.Insert(e.key, e.value) ? 1 : 0;
-        }
-        if (got != expect) {
-          report->divergence =
-              Where(op_index, cmd) + "BulkLoad of " +
-              std::to_string(cmd.bulk.size()) + " entries inserted " +
-              std::to_string(got) + ", oracle " + std::to_string(expect);
-        }
+        OnEachTree([&](auto& tree) {
+          size_t got = 0;
+          if constexpr (std::is_same_v<std::decay_t<decltype(tree)>,
+                                       PhTreeSync>) {
+            for (const PhEntry& e : cmd.bulk) {
+              got += tree.Insert(e.key, e.value) ? 1 : 0;
+            }
+          } else {
+            got = tree.BulkLoad(cmd.bulk);
+          }
+          if (got != expect) {
+            fail(NameOf(tree), "BulkLoad of " +
+                                   std::to_string(cmd.bulk.size()) +
+                                   " entries inserted " + std::to_string(got) +
+                                   ", oracle " + std::to_string(expect));
+          }
+        });
         break;
       }
     }
-    if (report->divergence.empty() && tree_.size() != model_.size()) {
-      report->divergence = Where(op_index, cmd) + "size " +
-                           std::to_string(tree_.size()) + " != oracle " +
-                           std::to_string(model_.size());
-    }
+    OnEachTree([&](auto& tree) {
+      if (tree.size() != model_.size()) {
+        fail(NameOf(tree), "size " + std::to_string(tree.size()) +
+                               " != oracle " + std::to_string(model_.size()));
+      }
+    });
   }
 
-  /// Park the writer until every reader has audited the frozen tree once.
-  void QuiescedAudit(DiffReport* report) {
-    // The tree is quiescent from here to the last ack: deep-validate it
-    // on the writer (the only thread allowed to read arena accounting),
-    // then publish the oracle snapshot and raise the ticket.
+  /// Deep validation of the quiesced trees, and the routing ownership
+  /// check: every key stored in shard s must route to s.
+  std::string ValidateTrees() const {
     if (std::string err = ValidatePhTreeDeep(tree_.UnsafeTree());
         !err.empty()) {
-      report->divergence = "audit after op " +
-                           std::to_string(report->ops_run) +
-                           " variant PhTreeSync/mvcc: validator: " + err;
+      return std::string(kSyncName) + ": validator: " + err;
+    }
+    for (uint32_t s = 0; s < sharded_.num_shards(); ++s) {
+      const PhTree& shard = sharded_.UnsafeShard(s);
+      if (std::string err = ValidatePhTreeDeep(shard); !err.empty()) {
+        return std::string(kShardedName) + " shard " + std::to_string(s) +
+               ": validator: " + err;
+      }
+      std::string misrouted;
+      shard.ForEach([&](const PhKey& key, uint64_t) {
+        if (misrouted.empty() && sharded_.ShardOf(key) != s) {
+          misrouted = std::string(kShardedName) + " shard " +
+                      std::to_string(s) + ": stored key routes to shard " +
+                      std::to_string(sharded_.ShardOf(key));
+        }
+      });
+      if (!misrouted.empty()) {
+        return misrouted;
+      }
+    }
+    return std::string();
+  }
+
+  /// Park the writer until every reader has audited the frozen trees once.
+  void QuiescedAudit(DiffReport* report) {
+    // The trees are quiescent from here to the last ack: deep-validate
+    // them on the writer (the only thread allowed to read arena
+    // accounting), then publish the oracle snapshot and raise the ticket.
+    if (std::string err = ValidateTrees(); !err.empty()) {
+      report->divergence =
+          "audit after op " + std::to_string(report->ops_run) + " " + err;
       return;
     }
     audit_content_ = ModelContent();
@@ -1411,12 +1509,14 @@ class ConcurrentRunner {
     }
   }
 
-  void ReaderFail(size_t reader, const std::string& what) {
+  void ReaderFail(size_t reader, const char* variant,
+                  const std::string& what) {
     std::lock_guard<std::mutex> lock(failure_mutex_);
     if (reader_failure_.empty()) {
       reader_failure_ =
           "reader " + std::to_string(reader) + " at epoch " +
-          std::to_string(tree_.epoch_manager().epoch()) + ": " + what;
+          std::to_string(tree_.epoch_manager().epoch()) + " variant " +
+          variant + ": " + what;
     }
     failed_.store(true, std::memory_order_release);
   }
@@ -1429,7 +1529,8 @@ class ConcurrentRunner {
     while (!stop_.load(std::memory_order_acquire)) {
       const uint64_t ticket = audit_ticket_.load(std::memory_order_acquire);
       if (ticket > acked) {
-        ExactAudit(index, &sample);
+        sample = audit_content_;  // happens-before via the ticket release
+        OnEachTree([&](const auto& tree) { ExactAudit(index, tree, sample); });
         acked = ticket;
         acks_[index].store(ticket, std::memory_order_release);
         ++checks;
@@ -1439,7 +1540,8 @@ class ConcurrentRunner {
         std::this_thread::yield();  // keep acking audits, stop probing
         continue;
       }
-      InvariantProbe(index, sample, &rng);
+      OnEachTree(
+          [&](const auto& tree) { InvariantProbe(index, tree, sample, &rng); });
       ++checks;
     }
     reader_checks_.fetch_add(checks, std::memory_order_relaxed);
@@ -1447,11 +1549,12 @@ class ConcurrentRunner {
 
   /// The writer is parked until we ack: size and full content of the
   /// frozen tree must match the published oracle snapshot exactly.
-  void ExactAudit(size_t index, Entries* sample) {
-    *sample = audit_content_;  // happens-before via the ticket release
-    if (tree_.size() != sample->size()) {
-      ReaderFail(index, "quiesced size " + std::to_string(tree_.size()) +
-                            " != oracle " + std::to_string(sample->size()));
+  template <typename Tree>
+  void ExactAudit(size_t index, const Tree& tree, const Entries& sample) {
+    if (tree.size() != sample.size()) {
+      ReaderFail(index, NameOf(tree),
+                 "quiesced size " + std::to_string(tree.size()) +
+                     " != oracle " + std::to_string(sample.size()));
       return;
     }
     const uint32_t dim = opts_.commands.dim;
@@ -1462,19 +1565,20 @@ class ConcurrentRunner {
     }
     // Full-domain window through the lock-free read path: z-ordered, so
     // directly comparable against the (z-ordered) oracle dump.
-    const Entries got = tree_.QueryWindow(lo, hi);
-    if (got != *sample) {
-      ReaderFail(index, "quiesced content diverged: tree holds " +
-                            std::to_string(got.size()) + " entries, oracle " +
-                            std::to_string(sample->size()));
+    const Entries got = tree.QueryWindow(lo, hi);
+    if (got != sample) {
+      ReaderFail(index, NameOf(tree),
+                 "quiesced content diverged: tree holds " +
+                     std::to_string(got.size()) + " entries, oracle " +
+                     std::to_string(sample.size()));
       return;
     }
     // A stride of point probes through Find as well (different kernel).
-    const size_t step = sample->size() / 16 + 1;
-    for (size_t i = 0; i < sample->size(); i += step) {
-      const auto& [key, value] = (*sample)[i];
-      if (tree_.Find(key) != std::optional<uint64_t>(value)) {
-        ReaderFail(index,
+    const size_t step = sample.size() / 16 + 1;
+    for (size_t i = 0; i < sample.size(); i += step) {
+      const auto& [key, value] = sample[i];
+      if (tree.Find(key) != std::optional<uint64_t>(value)) {
+        ReaderFail(index, NameOf(tree),
                    "quiesced Find of " + KeyToString(key) + " diverged");
         return;
       }
@@ -1484,7 +1588,10 @@ class ConcurrentRunner {
   /// Mid-churn probe: results race with the writer, so only interleaving-
   /// proof invariants are checked. Doubles as the memory-safety load for
   /// the TSan/ASan legs.
-  void InvariantProbe(size_t index, const Entries& sample, Rng* rng) {
+  template <typename Tree>
+  void InvariantProbe(size_t index, const Tree& tree, const Entries& sample,
+                      Rng* rng) {
+    const char* name = NameOf(tree);
     const uint32_t dim = opts_.commands.dim;
     PhKey lo(dim);
     PhKey hi(dim);
@@ -1504,35 +1611,36 @@ class ConcurrentRunner {
         hi[d] = std::max(a[d], b[d]);
       }
     }
-    const Entries got = tree_.QueryWindow(lo, hi);
+    const Entries got = tree.QueryWindow(lo, hi);
     for (size_t i = 0; i < got.size(); ++i) {
       for (uint32_t d = 0; d < dim; ++d) {
         if (got[i].first[d] < lo[d] || got[i].first[d] > hi[d]) {
-          ReaderFail(index, "window hit " + KeyToString(got[i].first) +
-                                " outside [" + KeyToString(lo) + ", " +
-                                KeyToString(hi) + "]");
+          ReaderFail(index, name,
+                     "window hit " + KeyToString(got[i].first) +
+                         " outside [" + KeyToString(lo) + ", " +
+                         KeyToString(hi) + "]");
           return;
         }
       }
       if (i > 0 && !ZOrderLess(got[i - 1].first, got[i].first)) {
-        ReaderFail(index, "window results not strictly z-ordered at rank " +
-                              std::to_string(i));
+        ReaderFail(index, name,
+                   "window results not strictly z-ordered at rank " +
+                       std::to_string(i));
         return;
       }
     }
     const size_t page_size = 1 + rng->NextBounded(16);
-    const WindowPage page =
-        tree_.QueryWindowPage(lo, hi, page_size, {});
+    const WindowPage page = tree.QueryWindowPage(lo, hi, page_size, {});
     if (page.entries.size() > page_size) {
-      ReaderFail(index, "page of size " + std::to_string(page_size) +
-                            " returned " +
-                            std::to_string(page.entries.size()) + " entries");
+      ReaderFail(index, name,
+                 "page of size " + std::to_string(page_size) + " returned " +
+                     std::to_string(page.entries.size()) + " entries");
       return;
     }
     for (const auto& [key, value] : page.entries) {
       for (uint32_t d = 0; d < dim; ++d) {
         if (key[d] < lo[d] || key[d] > hi[d]) {
-          ReaderFail(index,
+          ReaderFail(index, name,
                      "page hit " + KeyToString(key) + " outside the box");
           return;
         }
@@ -1540,31 +1648,33 @@ class ConcurrentRunner {
     }
     const size_t n = 1 + rng->NextBounded(8);
     const std::vector<KnnResult> knn =
-        tree_.KnnSearch(lo, n, KnnMetric::kL2Double);
+        tree.KnnSearch(lo, n, KnnMetric::kL2Double);
     if (knn.size() > n) {
-      ReaderFail(index, "kNN n=" + std::to_string(n) + " returned " +
-                            std::to_string(knn.size()) + " results");
+      ReaderFail(index, name,
+                 "kNN n=" + std::to_string(n) + " returned " +
+                     std::to_string(knn.size()) + " results");
       return;
     }
     for (size_t i = 1; i < knn.size(); ++i) {
       if (knn[i].dist2 < knn[i - 1].dist2) {
-        ReaderFail(index, "kNN distances not ascending at rank " +
-                              std::to_string(i));
+        ReaderFail(index, name,
+                   "kNN distances not ascending at rank " + std::to_string(i));
         return;
       }
     }
     // Point lookups: mid-churn the value is unknowable; this is purely
     // the lock-free Find safety probe.
     if (!sample.empty()) {
-      (void)tree_.Find(sample[rng->NextBounded(sample.size())].first);
+      (void)tree.Find(sample[rng->NextBounded(sample.size())].first);
     }
-    (void)tree_.CountWindow(lo, hi);
+    (void)tree.CountWindow(lo, hi);
   }
 
   const DiffOptions& opts_;
   CommandSource& source_;
   ReferenceModel model_;
   PhTreeSync tree_;
+  PhTreeSharded sharded_;
   Entries audit_content_;  ///< written by the writer before each ticket
   std::atomic<uint64_t> audit_ticket_{0};
   std::vector<std::atomic<uint64_t>> acks_;

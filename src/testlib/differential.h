@@ -67,15 +67,19 @@ struct DiffOptions {
 
   /// Concurrent mode: when > 0 the runner changes shape entirely. The
   /// calling thread becomes the single writer, replaying the command
-  /// stream against one PhTreeSync with exact per-op oracle comparison
-  /// (valid because nothing else mutates), while `reader_threads` threads
-  /// hammer the same tree through the lock-free read path with
-  /// find/window/kNN/page probes, checking the invariants that survive
-  /// churn: window results in-box and strictly z-ordered, kNN distances
-  /// ascending, page sizes bounded. Every `validate_every` ops the writer
-  /// parks and every reader performs one exact size + full-content audit
-  /// of the quiesced tree against a published oracle snapshot (tagged
-  /// with the reclamation epoch it ran in). Reader probe counts land in
+  /// stream against a PhTreeSync and an 8-shard PhTreeSharded with exact
+  /// per-op oracle comparison (valid because nothing else mutates), while
+  /// `reader_threads` threads hammer both trees through the lock-free read
+  /// path with find/window/kNN/page probes, checking the invariants that
+  /// survive churn: window results in-box and strictly z-ordered, kNN
+  /// distances ascending, page sizes bounded. kSaveLoad also re-routes the
+  /// sharded tree (Clear, then BulkLoad into the empty tree, which chooses
+  /// a new routing table) under the readers. Every `validate_every` ops the
+  /// writer parks, deep-validates both trees and checks that every stored
+  /// key routes to the shard holding it, and every reader performs one
+  /// exact size + full-content audit of the quiesced trees against a
+  /// published oracle snapshot (tagged with the reclamation epoch it ran
+  /// in). Reader probe counts land in
   /// DiffReport::replayed. Ignores include_baselines /
   /// include_concurrent / shard_counts; mutually exclusive with fault
   /// injection (reader threads have no bad_alloc handler) — fault_every_n

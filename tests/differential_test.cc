@@ -89,8 +89,9 @@ TEST(DifferentialTest, CoreOnlyConfigurationRuns) {
 }
 
 TEST(DifferentialTest, ConcurrentModeZeroDivergence) {
-  // Writer-with-exact-oracle plus lock-free reader threads on one
-  // PhTreeSync (see DiffOptions::reader_threads). Sized for the sanitizer
+  // Writer-with-exact-oracle plus lock-free reader threads on a
+  // PhTreeSync and a PhTreeSharded whose routing table is replaced under
+  // the readers (see DiffOptions::reader_threads). Sized for the sanitizer
   // presets; the TSan tier-1 leg runs this exact interleaving load.
   DiffOptions opts;
   opts.seed = 17;
@@ -110,7 +111,7 @@ TEST(DifferentialTest, ConcurrentModeZeroDivergence) {
 
   EXPECT_EQ(report.divergence, "");
   EXPECT_EQ(report.ops_run, opts.ops);
-  EXPECT_EQ(report.variants, 1u);
+  EXPECT_EQ(report.variants, 2u);
   // replayed = writer applications + reader probe/audit rounds; the
   // readers spin for the whole run, so they dominate.
   EXPECT_GT(report.replayed, opts.ops);

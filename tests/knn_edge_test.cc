@@ -1,11 +1,15 @@
 // kNN edge cases, identical across PhTree, PhTreeSync and PhTreeSharded
 // (both routing modes): k = 0, k larger than the tree, exact distance ties
 // (which must be broken deterministically by the z-order of the keys — the
-// whole result SEQUENCE is a pure function of the tree content), and
-// repeated queries while a tree is erased down to empty.
+// whole result SEQUENCE is a pure function of the tree content), the
+// max_dist2 bound that cuts a result inside a tie group, and repeated
+// queries while a tree is erased down to empty.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -172,6 +176,87 @@ TEST_F(KnnEdgeTest, RepeatedQueryWhileErasingToEmpty) {
     ExpectKnn({0.25, -0.25}, 1);
     ExpectKnn({0.25, -0.25}, 5);
   }
+}
+
+// A 21 x 21 integer grid: squared distances from grid and half-grid
+// centres repeat many times over, so every cut lands in a tie group.
+std::vector<PhKeyD> TieGrid() {
+  std::vector<PhKeyD> grid;
+  for (int x = -10; x <= 10; ++x) {
+    for (int y = -10; y <= 10; ++y) {
+      grid.push_back({static_cast<double>(x), static_cast<double>(y)});
+    }
+  }
+  return grid;
+}
+
+TEST_F(KnnEdgeTest, BoundCutsTheUnboundedResultKeepingTies) {
+  const std::vector<PhKeyD> grid = TieGrid();
+  for (size_t i = 0; i < grid.size(); ++i) {
+    InsertEverywhere(grid[i], i);
+  }
+  const std::vector<PhKeyD> centers = {
+      {0.0, 0.0}, {0.5, 0.5}, {3.0, -2.0}, {-9.5, 10.0}, {20.0, 0.25}};
+  for (const KnnMetric metric :
+       {KnnMetric::kL2Integer, KnnMetric::kL2Double}) {
+    for (const PhKeyD& center : centers) {
+      const PhKey c = EncodeKeyD(center);
+      for (const size_t n : {1u, 4u, 13u, 60u}) {
+        const std::vector<KnnResult> full = KnnSearch(tree_, c, n, metric);
+        // Bounds at, just below and just above every distance of the
+        // unbounded result, plus the extremes.
+        std::vector<double> bounds = {0.0,
+                                      std::numeric_limits<double>::infinity()};
+        for (const KnnResult& r : full) {
+          bounds.push_back(r.dist2);
+          bounds.push_back(std::nextafter(r.dist2, 0.0));
+          bounds.push_back(std::nextafter(r.dist2, bounds[1]));
+        }
+        std::sort(bounds.begin(), bounds.end());
+        bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+        for (const double bound : bounds) {
+          std::vector<KnnResult> expect;
+          for (const KnnResult& r : full) {
+            if (r.dist2 <= bound) {
+              expect.push_back(r);
+            }
+          }
+          const std::vector<KnnResult> got =
+              KnnSearch(tree_, c, n, metric, bound);
+          ASSERT_EQ(got.size(), expect.size())
+              << "n=" << n << " bound=" << bound;
+          for (size_t i = 0; i < expect.size(); ++i) {
+            EXPECT_EQ(got[i].key, expect[i].key) << "n=" << n << " rank " << i;
+            EXPECT_EQ(got[i].dist2, expect[i].dist2);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KnnEdgeTest, ShardedMatchesSingleTreeOnTies) {
+  const std::vector<PhKeyD> grid = TieGrid();
+  std::vector<PhEntry> entries;
+  for (size_t i = 0; i < grid.size(); ++i) {
+    InsertEverywhere(grid[i], i);
+    entries.push_back(PhEntry{EncodeKeyD(grid[i]), i});
+  }
+  // The inserting variants route by the default prefix table; a bulk load
+  // into an empty tree routes by splits chosen from the grid itself.
+  PhTreeSharded bulk(2, 8);
+  ASSERT_EQ(bulk.BulkLoad(entries), entries.size());
+  variants_.push_back({"PhTreeSharded/z8-bulk", nullptr, nullptr,
+                       [&bulk](const PhKey& c, size_t n) {
+                         return bulk.KnnSearch(c, n, KnnMetric::kL2Double);
+                       }});
+  for (const PhKeyD& center : std::vector<PhKeyD>{
+           {0.0, 0.0}, {0.5, 0.5}, {-0.5, 2.0}, {10.0, 10.0}, {-30.0, 1.0}}) {
+    for (const size_t n : {1u, 5u, 12u, 21u, 45u, 500u}) {
+      ExpectKnn(center, n);
+    }
+  }
+  variants_.pop_back();
 }
 
 }  // namespace

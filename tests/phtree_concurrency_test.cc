@@ -7,8 +7,10 @@
 // the whole file stays in seconds even at TSan's slowdown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -289,6 +291,246 @@ TEST(PhTreeShardedConcurrency, ConcurrentMixedQueriesDuringChurn) {
   for (uint32_t s = 0; s < tree.num_shards(); ++s) {
     EXPECT_EQ(ValidatePhTree(tree.UnsafeShard(s)), "") << "shard " << s;
   }
+}
+
+TEST(PhTreeShardedConcurrency, ReRouteRacesWithWritersAndReaders) {
+  // Each round empties the tree, then bulk-loads it while writers insert
+  // and readers look up what the writers already inserted. The bulk load
+  // replaces the routing table when it finds the tree still empty under
+  // all writer mutexes, and merges into the writers' content otherwise;
+  // alternating large and tiny loads makes both outcomes likely.
+  constexpr int kRounds = 6;
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  constexpr size_t kPerWriter = 1500;
+  // Keys in a narrow band like encoded doubles, so a table chosen from the
+  // data differs from the prefix table. The low two bits keep the sets
+  // disjoint: bulk keys end in 0, writer t's in 1 + 2t.
+  Rng rng(601);
+  auto band_key = [&rng](uint64_t tag) {
+    const uint64_t x = 0x3ff0000000000000ULL | (rng.NextU64() >> 12);
+    return PhKey{(x & ~3ULL) | tag,
+                 0x3ff0000000000000ULL | (rng.NextU64() >> 12)};
+  };
+  std::vector<PhEntry> bulk;
+  for (size_t i = 0; i < 8000; ++i) {
+    bulk.push_back(PhEntry{band_key(0), i});
+  }
+  std::vector<std::vector<PhKey>> own(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
+    for (size_t i = 0; i < kPerWriter; ++i) {
+      own[t].push_back(band_key(1 + 2 * t));
+    }
+  }
+  PhTreeSharded tree(2, 8);
+  for (int round = 0; round < kRounds; ++round) {
+    tree.Clear();
+    const std::span<const PhEntry> load =
+        round % 2 == 0 ? std::span<const PhEntry>(bulk)
+                       : std::span<const PhEntry>(bulk).first(64);
+    std::atomic<bool> go{false};
+    std::atomic<int> writers_left{kWriters};
+    std::atomic<bool> failed{false};
+    std::vector<std::atomic<size_t>> published(kWriters);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kWriters; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load()) {
+          std::this_thread::yield();
+        }
+        for (size_t i = 0; i < kPerWriter; ++i) {
+          if (!tree.Insert(own[t][i], i)) {
+            failed = true;  // the key is new to the tree
+          }
+          published[t].store(i + 1, std::memory_order_release);
+        }
+        --writers_left;
+      });
+    }
+    for (int t = 0; t < kReaders; ++t) {
+      threads.emplace_back([&, t] {
+        Rng pick(700 + round * kReaders + t);
+        while (writers_left.load() > 0) {
+          const size_t w = pick.NextBounded(kWriters);
+          const size_t n = published[w].load(std::memory_order_acquire);
+          if (n == 0) {
+            std::this_thread::yield();
+            continue;
+          }
+          // Inserted before this Find began: visible under any table.
+          const size_t i = pick.NextBounded(n);
+          if (tree.Find(own[w][i]) != std::optional<uint64_t>(i)) {
+            failed = true;
+          }
+        }
+      });
+    }
+    go = true;
+    const size_t loaded = tree.BulkLoad(load);
+    for (auto& th : threads) {
+      th.join();
+    }
+    EXPECT_FALSE(failed.load()) << "round " << round;
+    EXPECT_EQ(loaded, load.size());
+    EXPECT_EQ(tree.size(), load.size() + kWriters * kPerWriter);
+    for (int t = 0; t < kWriters; ++t) {
+      for (size_t i = 0; i < kPerWriter; ++i) {
+        ASSERT_EQ(tree.Find(own[t][i]), std::optional<uint64_t>(i));
+      }
+    }
+    for (const PhEntry& e : load) {
+      ASSERT_EQ(tree.Find(e.key), std::optional<uint64_t>(e.value));
+    }
+    for (uint32_t s = 0; s < tree.num_shards(); ++s) {
+      size_t misrouted = 0;
+      tree.UnsafeShard(s).ForEach([&](const PhKey& key, uint64_t) {
+        misrouted += tree.ShardOf(key) != s ? 1 : 0;
+      });
+      EXPECT_EQ(misrouted, 0u) << "round " << round << " shard " << s;
+      EXPECT_EQ(ValidatePhTree(tree.UnsafeShard(s)), "");
+    }
+  }
+}
+
+TEST(PhTreeShardedConcurrency, ReRoutesWhileWritersChurnToEmpty) {
+  // The tree keeps falling empty: writers insert and erase their own
+  // temporary keys, and a re-router bulk-loads, then erases, one of two
+  // loads from different bands, so every load into the empty tree
+  // installs a table unlike the last one. A writer that routed by the old
+  // table and then waited on its shard mutex across the swap must
+  // re-route; if it did not, its key would land in a shard the next
+  // lookup does not search, and its own Erase would miss it. Readers
+  // check that full-space windows and ForEach visits stay strictly
+  // z-ordered across swaps: each read sees one table and its trees.
+  constexpr int kCycles = 1000;
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 2;
+  Rng rng(611);
+  auto band_key = [](Rng& r, uint64_t band, uint64_t tag) {
+    const uint64_t x = band | (r.NextU64() >> 12);
+    return PhKey{(x & ~3ULL) | tag, band | (r.NextU64() >> 12)};
+  };
+  constexpr uint64_t kBands[2] = {0x3ff0000000000000ULL,
+                                  0xbff0000000000000ULL};
+  std::vector<PhEntry> loads[2];
+  for (int b = 0; b < 2; ++b) {
+    for (size_t i = 0; i < 64; ++i) {
+      loads[b].push_back(PhEntry{band_key(rng, kBands[b], 0), i});
+    }
+  }
+  PhTreeSharded tree(2, 8);
+  std::atomic<bool> done{false};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      Rng own(620 + t);
+      while (!done.load()) {
+        const PhKey key =
+            band_key(own, kBands[own.NextBounded(2)], 1 + 2 * t);
+        if (!tree.Insert(key, 1) || !tree.Erase(key)) {
+          failed = true;
+        }
+      }
+    });
+  }
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      const PhKey lo{0, 0};
+      const PhKey hi{~uint64_t{0}, ~uint64_t{0}};
+      std::vector<PhKey> seen;
+      auto visit = [&seen](const PhKey& key, uint64_t) {
+        seen.push_back(key);
+      };
+      for (uint64_t i = 0; !done.load(); ++i) {
+        seen.clear();
+        switch ((i + t) % 3) {
+          case 0:
+            for (auto& [key, value] : tree.QueryWindow(lo, hi)) {
+              seen.push_back(std::move(key));
+            }
+            break;
+          case 1:
+            tree.QueryWindow(lo, hi, visit);
+            break;
+          default:
+            tree.ForEach(visit);
+            break;
+        }
+        for (size_t k = 1; k < seen.size(); ++k) {
+          if (!ZOrderLess(seen[k - 1], seen[k])) {
+            failed = true;
+          }
+        }
+      }
+    });
+  }
+  for (int c = 0; c < kCycles && !failed.load(); ++c) {
+    const std::vector<PhEntry>& load = loads[c % 2];
+    if (tree.BulkLoad(load) != load.size()) {
+      failed = true;
+    }
+    for (const PhEntry& e : load) {
+      if (!tree.Erase(e.key)) {
+        failed = true;
+      }
+    }
+  }
+  done = true;
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(tree.size(), 0u);
+}
+
+TEST(PhTreeShardedConcurrency, MoreWritersThanEpochSlotsOnOneShard) {
+  // Narrow-range keys under the prefix table all route to one shard, so
+  // every writer queues on one mutex. A writer waiting there must hold no
+  // epoch slot: with more waiters than slots, the mutex holder's own write
+  // could otherwise never claim one.
+  constexpr int kWriters = static_cast<int>(EpochManager::kSlots) + 32;
+  constexpr size_t kPerWriter = 64;
+  PhTreeSharded tree(2, 8);
+  std::atomic<int> ready{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kWriters; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(900 + t);
+      std::vector<PhKey> keys;
+      for (size_t i = 0; i < kPerWriter; ++i) {
+        const uint64_t x = 0x3ff0000000000000ULL | (rng.NextU64() >> 12);
+        keys.push_back(PhKey{(x & ~uint64_t{127}) | static_cast<uint64_t>(t),
+                             0x3ff0000000000000ULL | (rng.NextU64() >> 12)});
+      }
+      ++ready;
+      while (ready.load() < kWriters) {
+        std::this_thread::yield();
+      }
+      for (size_t i = 0; i < kPerWriter; ++i) {
+        if (!tree.Insert(keys[i], i)) {
+          failed = true;
+        }
+      }
+      for (size_t i = 0; i < kPerWriter; i += 2) {
+        if (!tree.Erase(keys[i])) {
+          failed = true;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  EXPECT_FALSE(failed.load());
+  EXPECT_EQ(tree.size(), kWriters * kPerWriter / 2);
+  size_t largest = 0;
+  for (uint32_t s = 0; s < tree.num_shards(); ++s) {
+    largest = std::max(largest, tree.UnsafeShard(s).size());
+    EXPECT_EQ(ValidatePhTree(tree.UnsafeShard(s)), "");
+  }
+  EXPECT_EQ(largest, tree.size());  // one shard took every write
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Functional tests for the lock-striped sharded PH-tree: shard routing,
-// region clipping, equivalence with a single PhTree on every query type,
-// bulk load, persistence, and per-shard structural invariants.
+// Functional tests for the lock-striped sharded PH-tree: shard routing
+// under the prefix table and under tables chosen from loaded data, region
+// clipping, equivalence with a single PhTree on every query type, bulk
+// load, persistence, and per-shard structural invariants.
 #include "phtree/sharded.h"
 
 #include <gtest/gtest.h>
@@ -11,8 +12,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "datasets/datasets.h"
+#include "phtree/phtree_d.h"
 #include "phtree/phtree_sync.h"
 #include "phtree/serialize.h"
+#include "phtree/shard_routing.h"
 #include "phtree/validate.h"
 
 namespace phtree {
@@ -344,22 +348,245 @@ TEST(PhTreeSharded, BulkLoadMatchesSequentialInsert) {
   EXPECT_EQ(inserted, keys.size());
   EXPECT_EQ(bulk.size(), keys.size());
 
-  PhTreeSharded seq(dim, 8);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    seq.Insert(keys[i], i);
-  }
-  for (const auto& key : keys) {
-    EXPECT_EQ(bulk.Find(key), seq.Find(key));
-  }
-  // Structure is a pure function of the entries, so the shards are
-  // byte-identical in stats regardless of how they were built.
-  const PhTreeStats a = bulk.ComputeStats();
-  const PhTreeStats b = seq.ComputeStats();
-  EXPECT_EQ(a.n_nodes, b.n_nodes);
-  EXPECT_EQ(a.memory_bytes, b.memory_bytes);
+  // Reference: one plain tree per shard, filled by sequential inserts of
+  // the entries the bulk-loaded tree's routing assigns to that shard.
+  std::vector<PhTree> seq;
   for (uint32_t s = 0; s < bulk.num_shards(); ++s) {
+    seq.emplace_back(dim);
+  }
+  for (const PhEntry& e : entries) {
+    seq[bulk.ShardOf(e.key)].Insert(e.key, e.value);
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(bulk.Find(keys[i]), std::optional<uint64_t>(i));
+    EXPECT_EQ(bulk.Find(keys[i]), seq[bulk.ShardOf(keys[i])].Find(keys[i]));
+  }
+  // Structure is a pure function of the entries, so each shard is
+  // byte-identical in stats to its reference however it was built.
+  for (uint32_t s = 0; s < bulk.num_shards(); ++s) {
+    const PhTreeStats a = bulk.UnsafeShard(s).ComputeStats();
+    const PhTreeStats b = seq[s].ComputeStats();
+    EXPECT_EQ(a.n_entries, b.n_entries) << "shard " << s;
+    EXPECT_EQ(a.n_nodes, b.n_nodes) << "shard " << s;
+    EXPECT_EQ(a.memory_bytes, b.memory_bytes) << "shard " << s;
     EXPECT_EQ(ValidatePhTree(bulk.UnsafeShard(s)), "");
   }
+}
+
+// ---- Routing tables ------------------------------------------------------
+
+std::vector<PhEntry> EncodedEntries(const Dataset& ds) {
+  std::vector<PhEntry> entries;
+  entries.reserve(ds.n());
+  PhKeyD point(ds.dim);
+  for (size_t i = 0; i < ds.n(); ++i) {
+    for (uint32_t d = 0; d < ds.dim; ++d) {
+      point[d] = ds.coords[i * ds.dim + d];
+    }
+    entries.push_back(PhEntry{EncodeKeyD(point), i});
+  }
+  return entries;
+}
+
+double MaxShardShare(const PhTreeSharded& tree) {
+  size_t largest = 0;
+  for (uint32_t s = 0; s < tree.num_shards(); ++s) {
+    largest = std::max(largest, tree.UnsafeShard(s).size());
+  }
+  return static_cast<double>(largest) / static_cast<double>(tree.size());
+}
+
+/// Every key lies in exactly one shard's cover of `table` — the point box
+/// [key, key] meets that shard's cover only — and that shard is the one
+/// `tree` routes it to; routing is monotone in z-order.
+void ExpectCoversPartition(const RoutingTable& table,
+                           const PhTreeSharded& tree,
+                           std::vector<PhKey> keys) {
+  for (const PhKey& key : keys) {
+    uint32_t owners = 0;
+    uint32_t owner = 0;
+    for (uint32_t s = 0; s < tree.num_shards(); ++s) {
+      if (table.Intersects(s, key, key)) {
+        ++owners;
+        owner = s;
+      }
+    }
+    ASSERT_EQ(owners, 1u);
+    EXPECT_EQ(owner, tree.ShardOf(key));
+    EXPECT_EQ(table.ShardOf(key), tree.ShardOf(key));
+  }
+  std::sort(keys.begin(), keys.end(),
+            [](const PhKey& a, const PhKey& b) { return ZOrderLess(a, b); });
+  for (size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_LE(tree.ShardOf(keys[i - 1]), tree.ShardOf(keys[i]));
+  }
+}
+
+TEST(PhTreeSharded, BulkLoadBalancesEncodedDoubles) {
+  const size_t n = 20000;
+  for (const bool tiger : {false, true}) {
+    const Dataset ds = tiger ? GenerateTigerLike(n, 5) : GenerateCube(n, 3, 5);
+    const std::vector<PhEntry> entries = EncodedEntries(ds);
+    PhTreeSharded tree(ds.dim, 8);
+    ASSERT_EQ(tree.BulkLoad(entries), entries.size());
+    EXPECT_LE(MaxShardShare(tree), 0.2) << (tiger ? "TIGER" : "CUBE");
+    // A Load into an empty tree chooses the same table.
+    const std::string path = TempPath("balanced.pht");
+    ASSERT_TRUE(tree.Save(path).ok());
+    PhTreeSharded loaded(ds.dim, 8);
+    ASSERT_TRUE(loaded.Load(path).ok());
+    EXPECT_LE(MaxShardShare(loaded), 0.2) << (tiger ? "TIGER" : "CUBE");
+    std::remove(path.c_str());
+  }
+}
+
+TEST(PhTreeSharded, CoversPartitionTheKeySpace) {
+  for (const uint32_t dim : {1u, 2u, 3u, 6u}) {
+    const auto keys = RandomKeys(2000, dim, 100 + dim);
+    for (const uint32_t shards : {1u, 2u, 8u, 16u}) {
+      PhTreeSharded prefix(dim, shards);
+      ExpectCoversPartition(RoutingTable::Prefix(dim, shards), prefix, keys);
+      // Data-chosen splits, from keys confined to a narrow band as encoded
+      // doubles are (and from some the probe keys themselves share).
+      Rng rng(dim * 31 + shards);
+      std::vector<PhEntry> band;
+      std::vector<PhKey> probes = keys;
+      for (size_t i = 0; i < 3000; ++i) {
+        PhKey key(dim);
+        for (auto& v : key) {
+          v = 0x3ff0000000000000ULL | (rng.NextU64() >> 20);
+        }
+        probes.push_back(key);
+        band.push_back(PhEntry{std::move(key), i});
+      }
+      PhTreeSharded data(dim, shards);
+      data.BulkLoad(band);
+      // The table BulkLoad chose is a pure function of the loaded keys.
+      ExpectCoversPartition(RoutingTable::Quantiles(dim, shards, band), data,
+                            probes);
+      for (uint32_t s = 0; s < shards; ++s) {
+        data.UnsafeShard(s).ForEach([&](const PhKey& key, uint64_t) {
+          EXPECT_EQ(data.ShardOf(key), s);
+        });
+      }
+    }
+  }
+}
+
+/// Every query type of `sharded` equals the plain tree's over random boxes
+/// spanned by pairs of stored keys and random centres. `doubles`: the keys
+/// are encoded doubles, so kNN also runs under kL2Double.
+void ExpectQueriesMatchPlain(const PhTreeSharded& sharded, const PhTree& plain,
+                             const std::vector<PhKey>& keys, bool doubles,
+                             uint64_t seed) {
+  ASSERT_EQ(sharded.size(), plain.size());
+  const uint32_t dim = plain.dim();
+  Rng rng(seed);
+  for (int q = 0; q < 40; ++q) {
+    PhKey lo(dim);
+    PhKey hi(dim);
+    const PhKey& a = keys[rng.NextBounded(keys.size())];
+    const PhKey& b = keys[rng.NextBounded(keys.size())];
+    for (uint32_t d = 0; d < dim; ++d) {
+      lo[d] = std::min(a[d], b[d]);
+      hi[d] = std::max(a[d], b[d]);
+    }
+    const auto expect = plain.QueryWindow(lo, hi);
+    EXPECT_EQ(sharded.QueryWindow(lo, hi), expect) << "window " << q;
+    EXPECT_EQ(sharded.CountWindow(lo, hi), expect.size()) << "count " << q;
+    const size_t page_size = 1 + rng.NextBounded(40);
+    std::vector<std::pair<PhKey, uint64_t>> paged;
+    PhKey token;
+    for (;;) {
+      const WindowPage got =
+          sharded.QueryWindowPage(lo, hi, page_size, token);
+      const WindowPage want = plain.QueryWindowPage(lo, hi, page_size, token);
+      ASSERT_EQ(got.entries, want.entries) << "page of window " << q;
+      ASSERT_EQ(got.more, want.more);
+      paged.insert(paged.end(), got.entries.begin(), got.entries.end());
+      if (!got.more) {
+        break;
+      }
+      ASSERT_EQ(got.token, want.token);
+      token = got.token;
+    }
+    EXPECT_EQ(paged, expect);
+  }
+  for (int q = 0; q < 40; ++q) {
+    PhKey center = keys[rng.NextBounded(keys.size())];
+    if (q % 2 == 0) {
+      for (auto& c : center) {
+        c ^= rng.NextU64() >> (8 + rng.NextBounded(48));
+      }
+    }
+    for (const size_t n : {1u, 7u, 50u}) {
+      for (const KnnMetric metric :
+           {KnnMetric::kL2Integer, KnnMetric::kL2Double}) {
+        if (metric == KnnMetric::kL2Double && !doubles) {
+          continue;
+        }
+        const auto expect = KnnSearch(plain, center, n, metric);
+        const auto got = sharded.KnnSearch(center, n, metric);
+        ASSERT_EQ(got.size(), expect.size());
+        for (size_t i = 0; i < expect.size(); ++i) {
+          EXPECT_EQ(got[i].key, expect[i].key) << "kNN " << q << " rank " << i;
+          EXPECT_EQ(got[i].dist2, expect[i].dist2);
+        }
+      }
+    }
+  }
+}
+
+TEST(PhTreeSharded, QueriesMatchPlainTreeUnderDefaultAndDataTables) {
+  const Dataset cube = GenerateCube(6000, 3, 9);
+  const std::vector<PhEntry> entries = EncodedEntries(cube);
+  std::vector<PhKey> keys;
+  PhTree plain(3);
+  for (const PhEntry& e : entries) {
+    keys.push_back(e.key);
+    plain.Insert(e.key, e.value);
+  }
+  // Default prefix table: inserted one by one.
+  PhTreeSharded by_insert(3, 8);
+  for (const PhEntry& e : entries) {
+    by_insert.Insert(e.key, e.value);
+  }
+  ExpectQueriesMatchPlain(by_insert, plain, keys, true, 1);
+  // Data-chosen table: bulk-loaded into an empty tree.
+  PhTreeSharded by_bulk(3, 8);
+  by_bulk.BulkLoad(entries);
+  EXPECT_LE(MaxShardShare(by_bulk), 0.2);
+  ExpectQueriesMatchPlain(by_bulk, plain, keys, true, 2);
+  // Full-range keys under both tables.
+  const auto wide = RandomKeys(4000, 2, 3);
+  PhTree plain_wide(2);
+  PhTreeSharded wide_insert(2, 16);
+  std::vector<PhEntry> wide_entries;
+  for (size_t i = 0; i < wide.size(); ++i) {
+    plain_wide.Insert(wide[i], i);
+    wide_insert.Insert(wide[i], i);
+    wide_entries.push_back(PhEntry{wide[i], i});
+  }
+  ExpectQueriesMatchPlain(wide_insert, plain_wide, wide, false, 4);
+  PhTreeSharded wide_bulk(2, 16);
+  wide_bulk.BulkLoad(wide_entries);
+  ExpectQueriesMatchPlain(wide_bulk, plain_wide, wide, false, 5);
+}
+
+TEST(PhTreeSharded, BulkLoadIntoNonEmptyTreeKeepsTheTable) {
+  PhTreeSharded tree(2, 8);
+  ASSERT_TRUE(tree.Insert(PhKey{1, 1}, 0));
+  const Dataset ds = GenerateCube(5000, 2, 11);
+  tree.BulkLoad(EncodedEntries(ds));
+  // Prefix splits still route every encoded [0,1)^2 point to one shard.
+  EXPECT_EQ(tree.size(), ds.n() + 1);
+  EXPECT_GT(MaxShardShare(tree), 0.99);
+  tree.Clear();
+  // Empty again: the next bulk load chooses a table from its data.
+  tree.BulkLoad(EncodedEntries(ds));
+  EXPECT_LE(MaxShardShare(tree), 0.2);
+  EXPECT_TRUE(tree.Insert(PhKey{1, 1}, 0));
+  EXPECT_EQ(tree.Find(PhKey{1, 1}), std::optional<uint64_t>(0));
 }
 
 TEST(PhTreeSharded, ClearEmptiesEveryShard) {
