@@ -1,6 +1,7 @@
 // Concurrency scaling sweep for the lock-striped sharded PH-tree:
-// aggregate insert throughput over threads x shards (vs the coarse-lock
-// PhTreeSync and the unsynchronised PhTree baseline), parallel BulkLoad,
+// aggregate insert throughput over threads x shards (vs one shard behind
+// one writer mutex, labelled "PH(sync)", and the unsynchronised PhTree
+// baseline), parallel BulkLoad,
 // and fan-out window queries, all on the paper's CUBE workload. Prints a
 // fixed-width table and writes a machine-readable JSON artefact
 // (default BENCH_concurrency.json, or argv[1]) stamped with run metadata
@@ -28,7 +29,6 @@
 #include "datasets/datasets.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_d.h"
-#include "phtree/phtree_sync.h"
 #include "phtree/sharded.h"
 
 namespace phtree::bench {
@@ -104,7 +104,7 @@ double ParallelWindowUs(const Tree& tree,
 
 /// The pre-MVCC reader design, kept inline as the A/B baseline: one
 /// tree-wide std::shared_mutex, readers on the shared side, the writer on
-/// the exclusive side. PhTreeSync dropped reader locking entirely (epoch
+/// the exclusive side. PhTreeSharded reads take no lock at all (epoch
 /// guards + acquire loads), so the historical wrapper lives here only to
 /// quantify what the lock-free read path buys under an active writer.
 class RwLockTree {
@@ -260,17 +260,20 @@ int Main(int argc, char** argv) {
                   })});
   for (const unsigned t : thread_counts) {
     rows.push_back({"PH(sync)", "insert", t, 0, nd, BestOf(kRepeats, [&] {
-                      PhTreeSync sync(dim);
+                      PhTreeSharded sync(dim, 1);
                       return ParallelInsertUs(sync, keys, t);
                     })});
   }
   for (const unsigned s : shard_counts) {
     for (const unsigned t : thread_counts) {
-      // Hash routing: single inserts into an empty tree keep z-range
-      // routing on its prefix splits, and CUBE doubles share their encoded
-      // top bits, so every key would go to one shard (sharded.h).
+      // Single inserts into a new tree route by its prefix splits, and CUBE
+      // doubles share their encoded top bits, so every key would go to one
+      // shard (sharded.h). A bulk load into the empty tree picks splits
+      // from the data and Clear keeps them; both run before the timer.
       rows.push_back({"PH(sharded)", "insert", t, s, nd, BestOf(kRepeats, [&] {
-                        PhTreeSharded sharded(dim, s, ShardRouting::kHash);
+                        PhTreeSharded sharded(dim, s);
+                        sharded.BulkLoad(entries);
+                        sharded.Clear();
                         return ParallelInsertUs(sharded, keys, t);
                       })});
     }
@@ -282,8 +285,7 @@ int Main(int argc, char** argv) {
       rows.push_back(
           {"PH(sharded)", "bulk_load", t, s, nd, BestOf(kRepeats, [&] {
              ThreadPool pool(t);
-             PhTreeSharded sharded(dim, s, ShardRouting::kHash, PhTreeConfig{},
-                                   &pool);
+             PhTreeSharded sharded(dim, s, PhTreeConfig{}, &pool);
              Timer timer;
              sharded.BulkLoad(entries);
              return timer.ElapsedUs();
@@ -294,7 +296,7 @@ int Main(int argc, char** argv) {
   // ---- Window-query fan-out on loaded trees ------------------------------
   std::atomic<size_t> sink{0};
   {
-    PhTreeSync sync(dim);
+    PhTreeSharded sync(dim, 1);
     for (size_t i = 0; i < keys.size(); ++i) {
       sync.Insert(keys[i], i);
     }
@@ -306,7 +308,7 @@ int Main(int argc, char** argv) {
     }
   }
   {
-    PhTreeSharded sharded(dim, 8, ShardRouting::kHash);
+    PhTreeSharded sharded(dim, 8);
     sharded.BulkLoad(entries);
     for (const unsigned t : thread_counts) {
       rows.push_back({"PH(sharded)", "window_query", t, 8,
@@ -325,7 +327,7 @@ int Main(int argc, char** argv) {
   {
     const size_t reads_per_thread = std::max<size_t>(n / 4, 10000);
     RwLockTree rwlock(dim);
-    PhTreeSync sync(dim);
+    PhTreeSharded sync(dim, 1);
     for (size_t i = 0; i < keys.size(); ++i) {
       rwlock.Insert(keys[i], i);
       sync.Insert(keys[i], i);
@@ -418,7 +420,7 @@ int Main(int argc, char** argv) {
       << (scaling_valid ? "true" : "false")
       << ",\n  \"workload\": {\"dataset\": \"CUBE\", "
       << "\"dim\": " << dim << ", \"n\": " << keys.size()
-      << ", \"routing\": \"hash\", \"window_queries\": " << boxes.size()
+      << ", \"routing\": \"z-range\", \"window_queries\": " << boxes.size()
       << ", \"window_coverage\": 0.001},\n  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     out << JsonRow(rows[i]) << (i + 1 < rows.size() ? ",\n" : "\n");

@@ -18,9 +18,10 @@
 //
 // After the variant-matrix soak, a concurrent phase (skipped under
 // --no-concurrent, fault mode, or --readers 0) reruns the stream in
-// DiffOptions::reader_threads mode — one exact-oracle writer on a
-// PhTreeSync plus N lock-free reader threads — and keeps drawing fresh
-// seeds until writer applications + reader probes exceed one million.
+// DiffOptions::reader_threads mode — one exact-oracle writer on a 1-shard
+// and an 8-shard PhTreeSharded plus N lock-free reader threads — and keeps
+// drawing fresh seeds until writer applications + reader probes exceed one
+// million.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -49,7 +50,7 @@ int main(int argc, char** argv) {
   using phtree::testlib::DiffReport;
 
   DiffOptions opts;
-  opts.ops = 140000;  // >= 1.2M replayed applications over 12 variants
+  opts.ops = 140000;  // x 10 variants: >= 1.2M replayed applications
   opts.seed = 20260807;
   opts.commands.dim = 2;
   opts.commands.grid_bits = 8;

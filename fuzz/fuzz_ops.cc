@@ -1,7 +1,7 @@
 // Fuzz target: arbitrary bytes -> command stream -> the full differential
 // runner. Every input replays one operation sequence simultaneously
 // against the ReferenceModel oracle and every tree variant (PhTree,
-// PhTreeSync, PhTreeSharded in both routing modes, KD1/KD2/CB1); any
+// PhTreeSharded with one and two shards, KD1/KD2/CB1); any
 // observable divergence or structural-invariant violation abort()s, which
 // a fuzzing engine reports as a crash and the replay driver as a failure.
 //
@@ -29,7 +29,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   opts.commands.grid_bits = 4 + (data[0] >> 2) % 5;  // 16..256 grid points
   opts.ops = 1 << 14;  // bound even adversarially dense inputs
   opts.validate_every = 64;
-  opts.shard_counts = {2};
+  opts.shard_counts = {1, 2};
   // tmp_dir stays empty: the plain tree still round-trips every kSaveLoad
   // command in memory; the file-based variants skip it (no disk I/O in the
   // fuzz loop).

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -511,18 +512,29 @@ StatusOr<std::vector<uint8_t>> ReadFileOr(const std::string& path) {
 
 std::vector<uint8_t> SerializePhTree(const PhTree& tree,
                                      const SaveOptions& options) {
+  return SerializePhTree(std::span<const PhTree>(&tree, 1), options);
+}
+
+std::vector<uint8_t> SerializePhTree(std::span<const PhTree> parts,
+                                     const SaveOptions& options) {
+  assert(!parts.empty());
+  const uint32_t dim = parts[0].dim();
+  const PhTreeConfig& config = parts[0].config();
   const uint32_t epr = std::max<uint32_t>(1, options.entries_per_record);
-  const uint64_t n = tree.size();
+  uint64_t n = 0;
+  for (const PhTree& part : parts) {
+    n += part.size();
+  }
   const uint32_t record_count = static_cast<uint32_t>((n + epr - 1) / epr);
 
   std::vector<uint8_t> out;
   out.insert(out.end(), kMagicV2, kMagicV2 + 4);
   PutU32(&out, kHeaderPayloadLen);
-  PutU32(&out, tree.dim());
-  PutU8(&out, static_cast<uint8_t>(tree.config().repr));
-  PutU64(&out, std::bit_cast<uint64_t>(tree.config().hysteresis));
-  PutU32(&out, tree.config().hc_max_dim);
-  PutU8(&out, tree.config().store_values ? 1 : 0);
+  PutU32(&out, dim);
+  PutU8(&out, static_cast<uint8_t>(config.repr));
+  PutU64(&out, std::bit_cast<uint64_t>(config.hysteresis));
+  PutU32(&out, config.hc_max_dim);
+  PutU8(&out, config.store_values ? 1 : 0);
   PutU64(&out, n);
   PutU32(&out, record_count);
   PutU32(&out, Crc32c(out.data(), out.size()));  // header CRC
@@ -530,7 +542,7 @@ std::vector<uint8_t> SerializePhTree(const PhTree& tree,
   // Entries in z-order with per-dimension XOR deltas vs the previous key,
   // chunked into `epr`-entry records. The delta chain runs across record
   // boundaries (records are a framing unit, not a decoding restart point).
-  const bool store_values = tree.config().store_values;
+  const bool store_values = config.store_values;
   std::vector<uint8_t> payload;
   uint32_t in_record = 0;
   auto flush_record = [&]() {
@@ -544,12 +556,12 @@ std::vector<uint8_t> SerializePhTree(const PhTree& tree,
     payload.clear();
     in_record = 0;
   };
-  PhKey prev(tree.dim(), 0);
-  tree.ForEach([&](const PhKey& key, uint64_t value) {
+  PhKey prev(dim, 0);
+  auto put_entry = [&](const PhKey& key, uint64_t value) {
     if (in_record == 0) {
       payload.assign(4, 0);  // entry-count placeholder
     }
-    for (uint32_t d = 0; d < tree.dim(); ++d) {
+    for (uint32_t d = 0; d < dim; ++d) {
       PutDelta(&payload, key[d] ^ prev[d]);
     }
     if (store_values) {
@@ -559,7 +571,10 @@ std::vector<uint8_t> SerializePhTree(const PhTree& tree,
     if (++in_record == epr) {
       flush_record();
     }
-  });
+  };
+  for (const PhTree& part : parts) {
+    part.ForEach(put_entry);
+  }
   if (in_record > 0) {
     flush_record();
   }
@@ -616,10 +631,6 @@ Expected<PhTree, SnapshotError> DeserializePhTreeOr(
   return Err(StatusCode::kBadMagic, 0, "not a PH-tree snapshot");
 }
 
-std::optional<PhTree> DeserializePhTree(const std::vector<uint8_t>& bytes) {
-  return DeserializePhTreeOr(bytes).ToOptional();
-}
-
 Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
                            const std::string& path) {
   Vfs& vfs = *GetVfs();
@@ -674,14 +685,6 @@ Expected<PhTree, SnapshotError> LoadPhTreeOr(const std::string& path,
     return bytes.error();
   }
   return DeserializePhTreeOr(*bytes, options);
-}
-
-bool SavePhTree(const PhTree& tree, const std::string& path) {
-  return SavePhTreeOr(tree, path).ok();
-}
-
-std::optional<PhTree> LoadPhTree(const std::string& path) {
-  return LoadPhTreeOr(path).ToOptional();
 }
 
 StatusOr<SnapshotLayout> DescribeSnapshot(const std::vector<uint8_t>& bytes) {

@@ -22,7 +22,7 @@
 #define PHTREE_PHTREE_SERIALIZE_H_
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -70,6 +70,14 @@ struct LoadOptions {
 std::vector<uint8_t> SerializePhTree(const PhTree& tree,
                                      const SaveOptions& options = {});
 
+/// Serialises the entries of `parts`, in order, as ONE format-v2 stream:
+/// the same bytes SerializePhTree writes for a single tree holding all of
+/// them. The parts (at least one) share dimensionality and config, and all
+/// keys of a part precede the next part's in z-order — the shards of a
+/// PhTreeSharded in index order.
+std::vector<uint8_t> SerializePhTree(std::span<const PhTree> parts,
+                                     const SaveOptions& options = {});
+
 /// Legacy v1 writer, kept for migration tooling and v1->v2 compatibility
 /// tests. New snapshots should always be v2.
 std::vector<uint8_t> SerializePhTreeV1(const PhTree& tree);
@@ -80,10 +88,6 @@ std::vector<uint8_t> SerializePhTreeV1(const PhTree& tree);
 /// The configuration of the returned tree is taken from the stream.
 Expected<PhTree, SnapshotError> DeserializePhTreeOr(
     const std::vector<uint8_t>& bytes, const LoadOptions& options = {});
-
-/// Shim for the historical API: DeserializePhTreeOr with default options,
-/// with the diagnostics collapsed to std::nullopt.
-std::optional<PhTree> DeserializePhTree(const std::vector<uint8_t>& bytes);
 
 /// Atomically and durably writes `tree`'s v2 snapshot to `path`: the bytes
 /// go to `path + ".tmp"`, which is fsync'd, renamed over `path`, and the
@@ -96,7 +100,8 @@ Status SavePhTreeOr(const PhTree& tree, const std::string& path,
 /// The atomic-durable half of SavePhTreeOr on its own: writes an already
 /// serialised snapshot byte stream to `path` with the same tmp + fsync +
 /// rename + dir-fsync protocol. Lets callers that must serialise under a
-/// lock (PhTreeSync::Save) do the disk I/O outside their critical section.
+/// lock (PhTreeSharded::Save) do the disk I/O outside their critical
+/// section.
 Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
                            const std::string& path);
 
@@ -105,10 +110,6 @@ Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
 /// error classes — callers can finally tell the two apart.
 Expected<PhTree, SnapshotError> LoadPhTreeOr(const std::string& path,
                                              const LoadOptions& options = {});
-
-/// Shims for the historical bool/optional file API.
-bool SavePhTree(const PhTree& tree, const std::string& path);
-std::optional<PhTree> LoadPhTree(const std::string& path);
 
 /// Byte map of a v2 snapshot: where the header, each record and the
 /// trailer sit. Used by diagnostics and by the corruption fault-injection

@@ -18,17 +18,6 @@ double MetricCoordDelta(uint64_t a, uint64_t b, KnnMetric metric) {
   return static_cast<double>(delta);
 }
 
-// SplitMix64 finaliser: full-avalanche 64-bit mix (same constants as
-// common/rng.h's seeding stage).
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
 // Z-bit j of a key (0 = the most significant bit of its z-address) is bit
 // 63 - j / dim of dimension j % dim.
 
@@ -114,19 +103,8 @@ RoutingTable RoutingTable::Quantiles(uint32_t dim, uint32_t shards,
   return RoutingTable(dim, shards, std::move(splits));
 }
 
-RoutingTable RoutingTable::Hash(uint32_t dim, uint32_t shards) {
-  return RoutingTable(dim, shards, {}, /*hash=*/true);
-}
-
 uint32_t RoutingTable::ShardOf(std::span<const uint64_t> key) const {
   assert(key.size() == dim_);
-  if (hash_) {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;  // golden-ratio seed
-    for (const uint64_t word : key) {
-      h = Mix64(h ^ word);
-    }
-    return static_cast<uint32_t>(h & (shards_ - 1));
-  }
   // Number of splits <= key.
   uint32_t lo = 0;
   uint32_t hi = shards_ - 1;
@@ -143,9 +121,6 @@ uint32_t RoutingTable::ShardOf(std::span<const uint64_t> key) const {
 
 bool RoutingTable::Intersects(uint32_t s, std::span<const uint64_t> min,
                               std::span<const uint64_t> max) const {
-  if (hash_) {
-    return true;
-  }
   if (!BoxesMeet(&bound_lo_[s * size_t{dim_}], &bound_hi_[s * size_t{dim_}],
                  min, max)) {
     return false;
@@ -161,9 +136,6 @@ bool RoutingTable::Intersects(uint32_t s, std::span<const uint64_t> min,
 
 double RoutingTable::MinDist2(uint32_t s, std::span<const uint64_t> center,
                               KnnMetric metric) const {
-  if (hash_) {
-    return 0.0;
-  }
   double best = std::numeric_limits<double>::infinity();
   for (uint32_t b = cover_begin_[s]; b < cover_begin_[s + 1]; ++b) {
     const uint64_t* lo = &cover_lo_[b * size_t{dim_}];
@@ -183,22 +155,14 @@ double RoutingTable::MinDist2(uint32_t s, std::span<const uint64_t> center,
 }
 
 void RoutingTable::Bounds(uint32_t s, PhKey* lo, PhKey* hi) const {
-  if (hash_) {
-    lo->assign(dim_, 0);
-    hi->assign(dim_, ~uint64_t{0});
-    return;
-  }
   const size_t at = s * size_t{dim_};
   lo->assign(bound_lo_.begin() + at, bound_lo_.begin() + at + dim_);
   hi->assign(bound_hi_.begin() + at, bound_hi_.begin() + at + dim_);
 }
 
 RoutingTable::RoutingTable(uint32_t dim, uint32_t shards,
-                           std::vector<uint64_t> splits, bool hash)
-    : dim_(dim), shards_(shards), hash_(hash), splits_(std::move(splits)) {
-  if (hash_) {
-    return;
-  }
+                           std::vector<uint64_t> splits)
+    : dim_(dim), shards_(shards), splits_(std::move(splits)) {
   bound_lo_.assign(shards * size_t{dim}, ~uint64_t{0});
   bound_hi_.assign(shards * size_t{dim}, 0);
   cover_begin_.push_back(0);

@@ -1,9 +1,9 @@
 // Shard routing table of PhTreeSharded (internal; see sharded.h and
-// DESIGN.md "Shard routing"). Maps a key to one of S shards, either by
-// S-1 ascending z-order split keys (shard s owns the z-range between split
-// s-1 and split s) or by a mixed hash of the whole key. For split tables it
-// also holds each range's exact cover by aligned boxes (the z-blocks of the
-// range), so query clipping and kNN shard pruning are exact.
+// DESIGN.md "Shard routing"). Maps a key to one of S shards by S-1
+// ascending z-order split keys: shard s owns the z-range between split s-1
+// and split s. It also holds each range's exact cover by aligned boxes (the
+// z-blocks of the range), so query clipping and kNN shard pruning are
+// exact.
 #ifndef PHTREE_PHTREE_SHARD_ROUTING_H_
 #define PHTREE_PHTREE_SHARD_ROUTING_H_
 
@@ -31,10 +31,6 @@ class RoutingTable {
   static RoutingTable Quantiles(uint32_t dim, uint32_t shards,
                                 std::span<const PhEntry> entries);
 
-  /// Routing by a mixed hash of the whole key; every region is the whole
-  /// key space.
-  static RoutingTable Hash(uint32_t dim, uint32_t shards);
-
   uint32_t ShardOf(std::span<const uint64_t> key) const;
 
   /// True iff a box of shard `s`'s cover intersects [min, max]. For a
@@ -51,8 +47,7 @@ class RoutingTable {
   void Bounds(uint32_t s, PhKey* lo, PhKey* hi) const;
 
  private:
-  RoutingTable(uint32_t dim, uint32_t shards, std::vector<uint64_t> splits,
-               bool hash = false);
+  RoutingTable(uint32_t dim, uint32_t shards, std::vector<uint64_t> splits);
 
   std::span<const uint64_t> Split(uint32_t i) const {
     return {&splits_[i * size_t{dim_}], dim_};
@@ -65,7 +60,6 @@ class RoutingTable {
 
   uint32_t dim_;
   uint32_t shards_;
-  bool hash_;
   std::vector<uint64_t> splits_;        // shards_ - 1 keys, z-ascending
   std::vector<uint32_t> cover_begin_;   // shard s: boxes [begin[s], begin[s+1])
   std::vector<uint64_t> cover_lo_;      // box corners

@@ -26,10 +26,8 @@ struct PhTreeSharded::Layout {
 };
 
 PhTreeSharded::PhTreeSharded(uint32_t dim, uint32_t num_shards,
-                             ShardRouting routing, const PhTreeConfig& config,
-                             ThreadPool* pool)
+                             const PhTreeConfig& config, ThreadPool* pool)
     : dim_(dim),
-      routing_(routing),
       config_(config),
       pool_(pool != nullptr ? pool : &ThreadPool::Shared()),
       mutexes_(std::max(num_shards, 1u)) {
@@ -40,11 +38,9 @@ PhTreeSharded::PhTreeSharded(uint32_t dim, uint32_t num_shards,
   // More prefix bits than interleaved key bits would alias shards to empty
   // regions; 64*dim bits is the whole key, far beyond any sane S anyway.
   assert(static_cast<uint32_t>(std::countr_zero(num_shards)) <= 64 * dim_);
-  RoutingTable table = routing == ShardRouting::kHash
-                           ? RoutingTable::Hash(dim, num_shards)
-                           : RoutingTable::Prefix(dim, num_shards);
-  layout_.store(BuildLayout({}, config, std::move(table)).release(),
-                std::memory_order_release);
+  layout_.store(
+      BuildLayout({}, config, RoutingTable::Prefix(dim, num_shards)).release(),
+      std::memory_order_release);
 }
 
 PhTreeSharded::~PhTreeSharded() {
@@ -222,8 +218,7 @@ void PhTreeSharded::Clear() {
 
 std::optional<RoutingTable> PhTreeSharded::DataTable(
     std::span<const PhEntry> entries) const {
-  if (routing_ == ShardRouting::kHash || num_shards() == 1 ||
-      entries.size() < num_shards()) {
+  if (num_shards() == 1 || entries.size() < num_shards()) {
     return std::nullopt;
   }
   return RoutingTable::Quantiles(dim_, num_shards(), entries);
@@ -284,14 +279,7 @@ std::vector<std::pair<PhKey, uint64_t>> PhTreeSharded::QueryWindow(
       out.emplace_back(PhKey(key.begin(), key.end()), cursor.value());
     }
   }
-  // Z-range shards are visited in z-order, so `out` already is; hash
-  // shards interleave and need an explicit z-sort.
-  if (routing_ == ShardRouting::kHash) {
-    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-      return ZOrderLess(a.first, b.first);
-    });
-  }
-  return out;
+  return out;  // shards are visited in z-order, so `out` already is
 }
 
 void PhTreeSharded::QueryWindow(
@@ -328,36 +316,20 @@ WindowPage PhTreeSharded::QueryWindowPage(
   EpochManager::ReadGuard guard(epochs_);
   const Layout& l = layout();
   WindowPage page;
-  if (routing_ == ShardRouting::kZPrefix) {
-    // Ascending shard index is ascending z-order, so the page fills shard
-    // by shard: each intersecting shard is asked for the entries still
-    // missing (one beyond the page, so `more` stays exact) until the page
-    // overfills or the shards run out. Shards whose region precedes the
-    // token return nothing at O(depth) seek cost.
-    for (uint32_t s = 0;
-         s < l.trees.size() && page.entries.size() <= page_size; ++s) {
-      if (!l.table.Intersects(s, min, max)) {
-        continue;
-      }
-      const size_t want = page_size + 1 - page.entries.size();
-      WindowPage sub = l.trees[s].QueryWindowPage(min, max, want, resume_after);
-      std::move(sub.entries.begin(), sub.entries.end(),
-                std::back_inserter(page.entries));
+  // Ascending shard index is ascending z-order, so the page fills shard by
+  // shard: each intersecting shard is asked for the entries still missing
+  // (one beyond the page, so `more` stays exact) until the page overfills
+  // or the shards run out. Shards whose region precedes the token return
+  // nothing at O(depth) seek cost.
+  for (uint32_t s = 0;
+       s < l.trees.size() && page.entries.size() <= page_size; ++s) {
+    if (!l.table.Intersects(s, min, max)) {
+      continue;
     }
-  } else {
-    // Hash routing: the global first page after the token is contained in
-    // the union of every shard's first page_size + 1 entries after it —
-    // collect those, z-merge, truncate below.
-    for (const PhTree& tree : l.trees) {
-      WindowPage sub =
-          tree.QueryWindowPage(min, max, page_size + 1, resume_after);
-      std::move(sub.entries.begin(), sub.entries.end(),
-                std::back_inserter(page.entries));
-    }
-    std::sort(page.entries.begin(), page.entries.end(),
-              [](const auto& a, const auto& b) {
-                return ZOrderLess(a.first, b.first);
-              });
+    const size_t want = page_size + 1 - page.entries.size();
+    WindowPage sub = l.trees[s].QueryWindowPage(min, max, want, resume_after);
+    std::move(sub.entries.begin(), sub.entries.end(),
+              std::back_inserter(page.entries));
   }
   page.more = page.entries.size() > page_size;
   if (page.more) {
@@ -531,28 +503,20 @@ bool PhTreeSharded::Install(std::unique_ptr<Layout> next,
 
 Status PhTreeSharded::Save(const std::string& path,
                            const SaveOptions& options) const {
-  // All writer mutexes taken together (in index order, like every
-  // cross-shard path here) => the snapshot is the one cross-shard
-  // consistent view. Lock-free readers are unaffected throughout.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(num_shards());
-  for (WriterMutex& m : mutexes_) {
-    locks.emplace_back(m.mutex);
+  std::vector<uint8_t> bytes;
+  {
+    // All writer mutexes taken together (in index order, like every
+    // cross-shard path here) => the snapshot is the one cross-shard
+    // consistent view, and the shards, in index order, are the global
+    // z-order the stream holds.
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(num_shards());
+    for (WriterMutex& m : mutexes_) {
+      locks.emplace_back(m.mutex);
+    }
+    bytes = SerializePhTree(layout().trees, options);
   }
-  const Layout& l = layout();
-  PhTree merged(dim_, config_);
-  size_t total = 0;
-  for (const PhTree& tree : l.trees) {
-    total += tree.size();
-  }
-  merged.ReserveNodes(total);
-  for (const PhTree& tree : l.trees) {
-    tree.ForEach([&merged](const PhKey& key, uint64_t value) {
-      merged.Insert(key, value);
-    });
-  }
-  locks.clear();  // the merge is our snapshot; do the disk I/O unlocked
-  return SavePhTreeOr(merged, path, options);
+  return WriteSnapshotFileOr(bytes, path);
 }
 
 Status PhTreeSharded::Load(const std::string& path,

@@ -1,10 +1,11 @@
-// Sharded concurrent PH-tree (paper Sect. 5, third outlook item). Where
-// PhTreeSync serialises every writer behind one tree-wide lock, this class
-// partitions the key space into S contiguous ranges of the z-order (the
-// bit-interleaved order a PH-tree enumerates its keys in, Sect. 3.2). Each
-// shard is an independent PhTree with its own NodeArena and its own writer
-// mutex; all shards share ONE EpochManager and run in MVCC mode
-// (PhTree::EnableMvcc), so:
+// Thread-safe PH-tree (paper Sect. 5, third outlook item: "the fact that at
+// most two nodes are modified with each update makes the PH-tree suitable
+// for concurrent access and updates"). The class partitions the key space
+// into S contiguous ranges of the z-order (the bit-interleaved order a
+// PH-tree enumerates its keys in, Sect. 3.2); S = 1 is one tree behind one
+// writer mutex with lock-free readers. Each shard is an independent PhTree
+// with its own NodeArena and its own writer mutex; all shards share ONE
+// EpochManager and run in MVCC mode (PhTree::EnableMvcc), so:
 //   * readers never lock anywhere — point, window and kNN reads announce
 //     themselves in an epoch slot and walk copy-on-write-published nodes,
 //   * writers on different shards never contend (the paper's two-node
@@ -41,11 +42,6 @@
 //     steady, and retries if the shard changed. A replaced layout is freed
 //     after a full epoch grace period.
 //
-// ShardRouting::kHash routes by a mixed hash of the whole key instead:
-// every shard region is the whole space, so window/kNN queries visit all S
-// shards and window results are z-merged instead of concatenated. DESIGN.md
-// compares the two.
-//
 // Consistency model: operations are linearisable per shard, not across
 // shards. A query that fans out over multiple shards sees each shard at a
 // (possibly different) consistent point in time; size() is a sum of
@@ -77,16 +73,6 @@ namespace phtree {
 // PhEntry (the bulk-load input unit) lives in phtree/phtree.h, next to
 // PhTree::BulkLoad.
 
-/// How keys are assigned to shards (see the file comment).
-enum class ShardRouting : uint8_t {
-  /// Contiguous z-order ranges between split keys (see the file comment).
-  /// Queries clip, kNN prunes, merges are ordered concatenation.
-  kZPrefix,
-  /// Mixed hash of all key words. Distribution-independent balance; every
-  /// query visits all shards and window results are z-merged.
-  kHash,
-};
-
 // ZOrderLess (the z-interleaved comparison the sharded merge is built on)
 // lives in common/bits.h, next to the other z-order primitives.
 
@@ -99,7 +85,6 @@ class PhTreeSharded {
   /// must outlive the tree); nullptr uses the process-wide
   /// ThreadPool::Shared(). Queries run in the calling thread.
   explicit PhTreeSharded(uint32_t dim, uint32_t num_shards = 8,
-                         ShardRouting routing = ShardRouting::kZPrefix,
                          const PhTreeConfig& config = PhTreeConfig{},
                          ThreadPool* pool = nullptr);
   ~PhTreeSharded();
@@ -108,7 +93,6 @@ class PhTreeSharded {
   uint32_t num_shards() const {
     return static_cast<uint32_t>(mutexes_.size());
   }
-  ShardRouting routing() const { return routing_; }
   const PhTreeConfig& config() const { return config_; }
 
   /// Sum of per-shard sizes (lock-free atomic reads under one epoch
@@ -117,7 +101,7 @@ class PhTreeSharded {
   bool empty() const { return size() == 0; }
 
   /// Shard index for `key` under the current routing table: the z-range
-  /// holding it (kZPrefix) or a mixed hash of all its words (kHash).
+  /// holding it.
   uint32_t ShardOf(std::span<const uint64_t> key) const;
 
   // ---- Point operations (single-shard critical sections) ---------------
@@ -163,7 +147,7 @@ class PhTreeSharded {
   /// Inserts all `entries`, partitioning them by shard in one pass and
   /// filling every shard in parallel on the pool. Into an empty tree this
   /// is Load's off-line path: the routing table is chosen from `entries`
-  /// (kZPrefix, at least one entry per shard), private plain trees are
+  /// (at least one entry per shard), private plain trees are
   /// built and swapped in under all writer mutexes, and the call returns
   /// after a full epoch grace period. So, like Load, a BulkLoad into an
   /// empty tree must not be called from inside a visitor or while the
@@ -179,16 +163,13 @@ class PhTreeSharded {
 
   /// Entries inside [min, max], globally z-ordered (the same sequence a
   /// single PhTree would produce). Shards that intersect the box are
-  /// queried one after another in the calling thread; with kZPrefix
-  /// routing their z-ordered results are appended in shard order (which IS
-  /// z-order across shards), with kHash they are z-merged.
+  /// queried one after another in the calling thread and their z-ordered
+  /// results appended in shard order, which IS z-order across shards.
   std::vector<std::pair<PhKey, uint64_t>> QueryWindow(
       std::span<const uint64_t> min, std::span<const uint64_t> max) const;
 
   /// Visitor form: calls `visitor(key, value)` for every entry in the box
-  /// without materialising results, shard by shard. The
-  /// sequence is globally z-ordered with kZPrefix routing; with kHash it
-  /// is z-ordered only within each shard's run.
+  /// without materialising results, shard by shard, in global z-order.
   void QueryWindow(
       std::span<const uint64_t> min, std::span<const uint64_t> max,
       const std::function<void(const PhKey&, uint64_t)>& visitor) const;
@@ -199,10 +180,8 @@ class PhTreeSharded {
                      std::span<const uint64_t> max) const;
 
   /// Paginated window query with the same page/token semantics as
-  /// PhTree::QueryWindowPage, globally z-ordered across shards. With
-  /// kZPrefix routing the page fills shard by shard (ascending shard index
-  /// is ascending z-order); with kHash every shard contributes its first
-  /// candidates after the token and the union is z-merged and truncated.
+  /// PhTree::QueryWindowPage, globally z-ordered across shards: the page
+  /// fills shard by shard (ascending shard index is ascending z-order).
   /// One epoch guard covers the whole page.
   /// Reads are lock-free — the token keeps the scan stable across
   /// mutations between pages, exactly as in the single-tree case.
@@ -226,8 +205,7 @@ class PhTreeSharded {
   // ---- Introspection ----------------------------------------------------
 
   /// Calls `fn(key, value)` for every entry, shards visited in index order
-  /// under one epoch guard (lock-free). Global z-order with kZPrefix
-  /// routing; per-shard z-order with kHash.
+  /// under one epoch guard (lock-free), i.e. in global z-order.
   void ForEach(const std::function<void(const PhKey&, uint64_t)>& fn) const;
 
   /// Aggregated stats: additive fields summed over shards, max_depth the
@@ -238,8 +216,7 @@ class PhTreeSharded {
 
   /// The bounding box of shard `s`'s cover: on return, lo[d]/hi[d] bound
   /// the coordinates of dimension d that route to `s` (exact for prefix
-  /// splits, whose ranges are boxes). An empty range gives lo > hi. With
-  /// kHash routing every shard's region is the whole key space.
+  /// splits, whose ranges are boxes). An empty range gives lo > hi.
   void ShardRegion(uint32_t s, PhKey* lo, PhKey* hi) const;
 
   /// Direct access to shard `s`'s tree, WITHOUT synchronisation — only
@@ -251,16 +228,14 @@ class PhTreeSharded {
   /// tooling.
   const EpochManager& epoch_manager() const { return epochs_; }
 
-  // ---- Persistence (single-stream merge; see DESIGN.md) -----------------
+  // ---- Persistence (one v2 stream; see DESIGN.md) -----------------------
 
-  /// Saves all shards as ONE format-v2 snapshot (SavePhTreeOr): every
-  /// shard's reader lock is taken (in index order) for the duration, the
-  /// entries are merged into a temporary single PhTree — the tree's shape
-  /// is a pure function of its entries, so the merge is canonical and the
-  /// snapshot is byte-identical to one from an unsharded tree with the
-  /// same content — and written atomically. Costs one transient unsharded
-  /// copy of the tree; the payoff is full reuse of the checksummed v2
-  /// format, its tooling and its fault-injection coverage.
+  /// Saves all shards as ONE format-v2 snapshot: under every writer mutex
+  /// (taken in index order) the shards are serialised in index order, which
+  /// is the global z-order, straight into the byte stream — the same bytes
+  /// SerializePhTree writes for an unsharded tree with the same content.
+  /// The file is then written atomically and durably (WriteSnapshotFileOr)
+  /// with no lock held. Lock-free readers are unaffected throughout.
   Status Save(const std::string& path, const SaveOptions& options = {}) const;
 
   /// Replaces the whole content from a v2 (or legacy v1) snapshot written
@@ -312,7 +287,7 @@ class PhTreeSharded {
 
   /// The table BulkLoad or Load of `entries` into an empty tree installs:
   /// splits at their quantiles, or nullopt where the current table stays
-  /// (kHash, one shard, fewer entries than shards).
+  /// (one shard, fewer entries than shards).
   std::optional<RoutingTable> DataTable(
       std::span<const PhEntry> entries) const;
 
@@ -330,7 +305,6 @@ class PhTreeSharded {
                bool only_if_empty);
 
   uint32_t dim_;
-  ShardRouting routing_;
   PhTreeConfig config_;
   ThreadPool* pool_;
   // One epoch manager for ALL shards: a reader announces itself once per

@@ -10,7 +10,6 @@
 #include <span>
 #include <sstream>
 #include <thread>
-#include <type_traits>
 
 #include "common/fault.h"
 #include "common/rng.h"
@@ -21,7 +20,6 @@
 #include "phtree/arena.h"
 #include "phtree/cursor.h"
 #include "phtree/phtree.h"
-#include "phtree/phtree_sync.h"
 #include "phtree/serialize.h"
 #include "phtree/sharded.h"
 #include "phtree/validate.h"
@@ -307,105 +305,12 @@ class CowAdapter : public PlainAdapter {
   EpochManager epochs_;
 };
 
-class SyncAdapter : public VariantAdapter {
- public:
-  explicit SyncAdapter(uint32_t dim) : tree_(dim) {}
-
-  const char* name() const override { return "PhTreeSync"; }
-  size_t Size() const override { return tree_.size(); }
-  bool Insert(const Command& cmd) override {
-    return tree_.Insert(cmd.key, cmd.value);
-  }
-  bool InsertOrAssign(const Command& cmd) override {
-    return tree_.InsertOrAssign(cmd.key, cmd.value);
-  }
-  bool Erase(const Command& cmd) override { return tree_.Erase(cmd.key); }
-  UpdateOutcome Update(const Command& cmd) override {
-    return tree_.Update(cmd.key, cmd.key2,
-                        cmd.update_keep_value
-                            ? std::nullopt
-                            : std::optional<uint64_t>(cmd.value));
-  }
-  std::optional<uint64_t> Find(const Command& cmd) const override {
-    return tree_.Find(cmd.key);
-  }
-  std::vector<std::optional<uint64_t>> FindBatch(
-      const Command& cmd) const override {
-    return tree_.FindBatch(cmd.batch);
-  }
-  Entries Window(const Command& cmd, bool* ordered) const override {
-    *ordered = true;
-    return tree_.QueryWindow(cmd.key, cmd.key2);
-  }
-  size_t CountWindow(const Command& cmd) const override {
-    return tree_.CountWindow(cmd.key, cmd.key2);
-  }
-  std::optional<WindowPage> PageQuery(
-      const Command& cmd,
-      std::span<const uint64_t> resume_after) const override {
-    return tree_.QueryWindowPage(cmd.key, cmd.key2, cmd.page_size,
-                                 resume_after);
-  }
-  std::optional<std::vector<KnnResult>> Knn(
-      const Command& cmd) const override {
-    return tree_.KnnSearch(cmd.key, cmd.knn_n, KnnMetric::kL2Double);
-  }
-  void Clear() override {
-    // PhTreeSync has no Clear(); drain through the public API (also
-    // exercises the erase path under the writer lock).
-    Entries all = Content();
-    for (const auto& [key, value] : all) {
-      tree_.Erase(key);
-    }
-  }
-  std::optional<std::string> SaveLoad(const std::string& tmp_dir) override {
-    if (tmp_dir.empty()) {
-      return std::nullopt;
-    }
-    const std::string path = tmp_dir + "/diff_sync.snapshot";
-    if (Status s = tree_.Save(path); !s.ok()) {
-      return s.ToString();
-    }
-    LoadOptions load;
-    load.validate_structure = true;
-    if (Status s = tree_.Load(path, load); !s.ok()) {
-      return s.ToString();
-    }
-    return std::string();
-  }
-  size_t BulkLoad(const Command& cmd) override {
-    size_t inserted = 0;
-    for (const PhEntry& e : cmd.bulk) {
-      inserted += tree_.Insert(e.key, e.value) ? 1 : 0;
-    }
-    return inserted;
-  }
-  Entries Content() const override {
-    Entries out;
-    out.reserve(tree_.size());
-    tree_.UnsafeTree().ForEach(
-        [&out](const PhKey& k, uint64_t v) { out.emplace_back(k, v); });
-    return out;
-  }
-  std::string Validate() const override {
-    return ValidatePhTreeDeep(tree_.UnsafeTree());
-  }
-
- private:
-  PhTreeSync tree_;
-};
-
 class ShardedAdapter : public VariantAdapter {
  public:
-  ShardedAdapter(uint32_t dim, uint32_t shards, ShardRouting routing)
-      : tree_(dim, shards, routing) {
-    const std::string tag = std::string(1, routing == ShardRouting::kZPrefix
-                                               ? 'z'
-                                               : 'h') +
-                            std::to_string(shards);
-    name_ = "PhTreeSharded/" + tag;
-    file_tag_ = "sharded_" + tag;
-  }
+  ShardedAdapter(uint32_t dim, uint32_t shards)
+      : name_("PhTreeSharded/z" + std::to_string(shards)),
+        file_tag_("sharded_z" + std::to_string(shards)),
+        tree_(dim, shards) {}
 
   const char* name() const override { return name_.c_str(); }
   size_t Size() const override { return tree_.size(); }
@@ -432,8 +337,7 @@ class ShardedAdapter : public VariantAdapter {
     return tree_.FindBatch(cmd.batch);
   }
   Entries Window(const Command& cmd, bool* ordered) const override {
-    // Eager form is globally z-ordered for both routing modes (z-prefix
-    // concatenates in shard order; hash z-merges).
+    // Z-range shards concatenate in shard order: globally z-ordered.
     *ordered = true;
     return tree_.QueryWindow(cmd.key, cmd.key2);
   }
@@ -474,8 +378,7 @@ class ShardedAdapter : public VariantAdapter {
     out.reserve(tree_.size());
     tree_.ForEach(
         [&out](const PhKey& k, uint64_t v) { out.emplace_back(k, v); });
-    SortByZ(&out);  // hash routing enumerates per-shard, not globally
-    return out;
+    return out;  // shards in index order enumerate in global z-order
   }
   std::string Validate() const override {
     for (uint32_t s = 0; s < tree_.num_shards(); ++s) {
@@ -625,12 +528,8 @@ class Runner {
     // BulkLoad mutates on thread-pool threads where an injected bad_alloc
     // would terminate the process instead of reaching our handler.
     if (opts.include_concurrent && !fault_mode_) {
-      adapters_.push_back(std::make_unique<SyncAdapter>(dim));
       for (const uint32_t shards : opts.shard_counts) {
-        adapters_.push_back(std::make_unique<ShardedAdapter>(
-            dim, shards, ShardRouting::kZPrefix));
-        adapters_.push_back(std::make_unique<ShardedAdapter>(
-            dim, shards, ShardRouting::kHash));
+        adapters_.push_back(std::make_unique<ShardedAdapter>(dim, shards));
       }
     }
     if (opts.include_baselines) {
@@ -1097,7 +996,7 @@ class Runner {
 // ---- Concurrent mode ----------------------------------------------------
 //
 // One writer (the calling thread) replays the command stream against a
-// PhTreeSync and an 8-shard PhTreeSharded with exact oracle comparison
+// 1-shard and an 8-shard PhTreeSharded with exact oracle comparison
 // after every op — valid because nothing else mutates — while N reader
 // threads run the lock-free read paths (epoch guard + acquire loads, no
 // lock) against both trees the whole time. kSaveLoad also re-routes the
@@ -1117,7 +1016,7 @@ class ConcurrentRunner {
       : opts_(opts),
         source_(source),
         model_(opts.commands.dim),
-        tree_(opts.commands.dim),
+        one_(opts.commands.dim, 1),
         sharded_(opts.commands.dim, 8),
         acks_(opts.reader_threads) {}
 
@@ -1165,16 +1064,14 @@ class ConcurrentRunner {
   }
 
  private:
-  static constexpr const char* kSyncName = "PhTreeSync/mvcc";
-  static constexpr const char* kShardedName = "PhTreeSharded/z8";
+  const char* NameOf(const PhTreeSharded& tree) const {
+    return &tree == &one_ ? "PhTreeSharded/z1" : "PhTreeSharded/z8";
+  }
 
-  static const char* NameOf(const PhTreeSync&) { return kSyncName; }
-  static const char* NameOf(const PhTreeSharded&) { return kShardedName; }
-
-  /// Calls `fn(tree)` for the PhTreeSync, then the PhTreeSharded.
+  /// Calls `fn(tree)` for the 1-shard tree, then the 8-shard one.
   template <typename Fn>
   void OnEachTree(Fn&& fn) {
-    fn(tree_);
+    fn(one_);
     fn(sharded_);
   }
 
@@ -1192,16 +1089,11 @@ class ConcurrentRunner {
   }
 
   /// Full content in z-order, read on the writer thread.
-  template <typename Tree>
-  static Entries TreeContent(const Tree& tree) {
+  static Entries TreeContent(const PhTreeSharded& tree) {
     Entries out;
     out.reserve(tree.size());
-    auto add = [&out](const PhKey& k, uint64_t v) { out.emplace_back(k, v); };
-    if constexpr (std::is_same_v<Tree, PhTreeSync>) {
-      tree.UnsafeTree().ForEach(add);  // no other thread mutates
-    } else {
-      tree.ForEach(add);
-    }
+    tree.ForEach(
+        [&out](const PhKey& k, uint64_t v) { out.emplace_back(k, v); });
     return out;
   }
 
@@ -1214,8 +1106,7 @@ class ConcurrentRunner {
   }
 
   /// Saves the tree and loads the snapshot back into it.
-  template <typename Tree>
-  std::string SaveLoad(Tree& tree) const {
+  std::string SaveLoad(PhTreeSharded& tree) const {
     const std::string path = opts_.tmp_dir + "/diff_concurrent.snapshot";
     if (Status s = tree.Save(path); !s.ok()) {
       return "snapshot save failed: " + s.ToString();
@@ -1389,13 +1280,8 @@ class ConcurrentRunner {
         break;
       }
       case OpKind::kClear: {
-        // PhTreeSync has no Clear; drain through erases. Readers watch
-        // the tree shrink one COW publication at a time.
         model_.Clear();
-        for (const auto& [key, value] : TreeContent(tree_)) {
-          tree_.Erase(key);
-        }
-        sharded_.Clear();
+        OnEachTree([](auto& tree) { tree.Clear(); });
         break;
       }
       case OpKind::kSaveLoad: {
@@ -1414,7 +1300,7 @@ class ConcurrentRunner {
           content.push_back(PhEntry{std::move(key), value});
         }
         if (sharded_.BulkLoad(content) != content.size()) {
-          fail(kShardedName, "re-route bulk load dropped entries");
+          fail(NameOf(sharded_), "re-route bulk load dropped entries");
         }
         const Entries expect = ModelContent();
         OnEachTree([&](auto& tree) {
@@ -1430,15 +1316,7 @@ class ConcurrentRunner {
           expect += model_.Insert(e.key, e.value) ? 1 : 0;
         }
         OnEachTree([&](auto& tree) {
-          size_t got = 0;
-          if constexpr (std::is_same_v<std::decay_t<decltype(tree)>,
-                                       PhTreeSync>) {
-            for (const PhEntry& e : cmd.bulk) {
-              got += tree.Insert(e.key, e.value) ? 1 : 0;
-            }
-          } else {
-            got = tree.BulkLoad(cmd.bulk);
-          }
+          const size_t got = tree.BulkLoad(cmd.bulk);
           if (got != expect) {
             fail(NameOf(tree), "BulkLoad of " +
                                    std::to_string(cmd.bulk.size()) +
@@ -1460,26 +1338,24 @@ class ConcurrentRunner {
   /// Deep validation of the quiesced trees, and the routing ownership
   /// check: every key stored in shard s must route to s.
   std::string ValidateTrees() const {
-    if (std::string err = ValidatePhTreeDeep(tree_.UnsafeTree());
-        !err.empty()) {
-      return std::string(kSyncName) + ": validator: " + err;
-    }
-    for (uint32_t s = 0; s < sharded_.num_shards(); ++s) {
-      const PhTree& shard = sharded_.UnsafeShard(s);
-      if (std::string err = ValidatePhTreeDeep(shard); !err.empty()) {
-        return std::string(kShardedName) + " shard " + std::to_string(s) +
-               ": validator: " + err;
-      }
-      std::string misrouted;
-      shard.ForEach([&](const PhKey& key, uint64_t) {
-        if (misrouted.empty() && sharded_.ShardOf(key) != s) {
-          misrouted = std::string(kShardedName) + " shard " +
-                      std::to_string(s) + ": stored key routes to shard " +
-                      std::to_string(sharded_.ShardOf(key));
+    for (const PhTreeSharded* tree : {&one_, &sharded_}) {
+      for (uint32_t s = 0; s < tree->num_shards(); ++s) {
+        const PhTree& shard = tree->UnsafeShard(s);
+        if (std::string err = ValidatePhTreeDeep(shard); !err.empty()) {
+          return std::string(NameOf(*tree)) + " shard " + std::to_string(s) +
+                 ": validator: " + err;
         }
-      });
-      if (!misrouted.empty()) {
-        return misrouted;
+        std::string misrouted;
+        shard.ForEach([&](const PhKey& key, uint64_t) {
+          if (misrouted.empty() && tree->ShardOf(key) != s) {
+            misrouted = std::string(NameOf(*tree)) + " shard " +
+                        std::to_string(s) + ": stored key routes to shard " +
+                        std::to_string(tree->ShardOf(key));
+          }
+        });
+        if (!misrouted.empty()) {
+          return misrouted;
+        }
       }
     }
     return std::string();
@@ -1515,7 +1391,7 @@ class ConcurrentRunner {
     if (reader_failure_.empty()) {
       reader_failure_ =
           "reader " + std::to_string(reader) + " at epoch " +
-          std::to_string(tree_.epoch_manager().epoch()) + " variant " +
+          std::to_string(sharded_.epoch_manager().epoch()) + " variant " +
           variant + ": " + what;
     }
     failed_.store(true, std::memory_order_release);
@@ -1549,8 +1425,8 @@ class ConcurrentRunner {
 
   /// The writer is parked until we ack: size and full content of the
   /// frozen tree must match the published oracle snapshot exactly.
-  template <typename Tree>
-  void ExactAudit(size_t index, const Tree& tree, const Entries& sample) {
+  void ExactAudit(size_t index, const PhTreeSharded& tree,
+                  const Entries& sample) {
     if (tree.size() != sample.size()) {
       ReaderFail(index, NameOf(tree),
                  "quiesced size " + std::to_string(tree.size()) +
@@ -1588,9 +1464,8 @@ class ConcurrentRunner {
   /// Mid-churn probe: results race with the writer, so only interleaving-
   /// proof invariants are checked. Doubles as the memory-safety load for
   /// the TSan/ASan legs.
-  template <typename Tree>
-  void InvariantProbe(size_t index, const Tree& tree, const Entries& sample,
-                      Rng* rng) {
+  void InvariantProbe(size_t index, const PhTreeSharded& tree,
+                      const Entries& sample, Rng* rng) {
     const char* name = NameOf(tree);
     const uint32_t dim = opts_.commands.dim;
     PhKey lo(dim);
@@ -1673,7 +1548,7 @@ class ConcurrentRunner {
   const DiffOptions& opts_;
   CommandSource& source_;
   ReferenceModel model_;
-  PhTreeSync tree_;
+  PhTreeSharded one_;
   PhTreeSharded sharded_;
   Entries audit_content_;  ///< written by the writer before each ticket
   std::atomic<uint64_t> audit_ticket_{0};

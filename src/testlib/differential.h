@@ -1,9 +1,10 @@
 // Model-based differential runner: replays one command stream against the
 // ReferenceModel oracle and every tree variant of the repository at once —
-// PhTree, PhTreeSync, PhTreeSharded (both routing modes, several shard
-// counts), KD1, KD2 and CB1 — asserting identical observable results after
-// every operation, with periodic full-content comparison and the deepened
-// structural validator (ValidatePhTreeDeep) on every PH-tree involved.
+// PhTree (plain, BHC-only, forced-scalar, MVCC), PhTreeSharded (several
+// shard counts), KD1, KD2 and CB1 — asserting identical observable results
+// after every operation, with periodic full-content comparison and the
+// deepened structural validator (ValidatePhTreeDeep) on every PH-tree
+// involved.
 //
 // This is the machine-checked form of the paper's Sect. 4 claim that all
 // index variants answer the same workload with the same result sets; every
@@ -38,13 +39,13 @@ struct DiffOptions {
 
   /// Include the double-keyed baselines KD1 / KD2 / CB1.
   bool include_baselines = true;
-  /// Include PhTreeSync and the PhTreeSharded configurations.
+  /// Include the PhTreeSharded configurations.
   bool include_concurrent = true;
-  /// Shard counts instantiated per routing mode (powers of two).
-  std::vector<uint32_t> shard_counts = {2, 8};
+  /// One PhTreeSharded variant per shard count (powers of two).
+  std::vector<uint32_t> shard_counts = {1, 2, 8};
 
-  /// Directory for the file-based snapshot round-trips (PhTreeSync /
-  /// PhTreeSharded Save+Load). Empty: those variants skip kSaveLoad; the
+  /// Directory for the file-based snapshot round-trips (PhTreeSharded
+  /// Save+Load). Empty: those variants skip kSaveLoad; the
   /// plain PhTree always round-trips in memory through
   /// SerializePhTree / DeserializePhTreeOr (paranoid options).
   std::string tmp_dir;
@@ -67,7 +68,7 @@ struct DiffOptions {
 
   /// Concurrent mode: when > 0 the runner changes shape entirely. The
   /// calling thread becomes the single writer, replaying the command
-  /// stream against a PhTreeSync and an 8-shard PhTreeSharded with exact
+  /// stream against a 1-shard and an 8-shard PhTreeSharded with exact
   /// per-op oracle comparison (valid because nothing else mutates), while
   /// `reader_threads` threads hammer both trees through the lock-free read
   /// path with find/window/kNN/page probes, checking the invariants that

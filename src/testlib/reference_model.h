@@ -2,8 +2,8 @@
 // z-ordered encoded keys whose every operation is brute-force-obvious. The
 // paper's evaluation (Sect. 4) rests on all index variants returning the
 // same result sets for the same workload; this model is the executable
-// definition of "the same result set" that PhTree, PhTreeSync, PhTreeSharded,
-// both kd-trees and the crit-bit baseline are replayed against.
+// definition of "the same result set" that PhTree, PhTreeSharded, both
+// kd-trees and the crit-bit baseline are replayed against.
 //
 // Ordering the map by ZOrderLess buys two things: ForEach and QueryWindow
 // enumerate in exactly the z-order a PH-tree produces (so sequences, not

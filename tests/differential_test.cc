@@ -55,8 +55,8 @@ TEST(DifferentialTest, SeededRunAcrossAllVariantsHasZeroDivergence) {
   EXPECT_EQ(report.divergence, "");
   EXPECT_EQ(report.ops_run, opts.ops);
   // plain, forced-BHC plain, forced-scalar-kernel plain, MVCC/COW plain,
-  // sync, 4x sharded, KD1/KD2/CB1
-  EXPECT_EQ(report.variants, 12u);
+  // PhTreeSharded with 1, 2 and 8 shards, KD1/KD2/CB1
+  EXPECT_EQ(report.variants, 10u);
   EXPECT_GT(report.replayed, opts.ops * 7);
   EXPECT_GT(report.max_size, 100u);
 }
@@ -89,8 +89,8 @@ TEST(DifferentialTest, CoreOnlyConfigurationRuns) {
 }
 
 TEST(DifferentialTest, ConcurrentModeZeroDivergence) {
-  // Writer-with-exact-oracle plus lock-free reader threads on a
-  // PhTreeSync and a PhTreeSharded whose routing table is replaced under
+  // Writer-with-exact-oracle plus lock-free reader threads on a 1-shard
+  // PhTreeSharded and an 8-shard one whose routing table is replaced under
   // the readers (see DiffOptions::reader_threads). Sized for the sanitizer
   // presets; the TSan tier-1 leg runs this exact interleaving load.
   DiffOptions opts;

@@ -1,5 +1,5 @@
-// kNN edge cases, identical across PhTree, PhTreeSync and PhTreeSharded
-// (both routing modes): k = 0, k larger than the tree, exact distance ties
+// kNN edge cases, identical across PhTree and PhTreeSharded (one shard and
+// eight): k = 0, k larger than the tree, exact distance ties
 // (which must be broken deterministically by the z-order of the keys — the
 // whole result SEQUENCE is a pure function of the tree content), the
 // max_dist2 bound that cuts a result inside a tie group, and repeated
@@ -16,7 +16,6 @@
 #include "phtree/knn.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_d.h"
-#include "phtree/phtree_sync.h"
 #include "phtree/sharded.h"
 #include "testlib/reference_model.h"
 
@@ -40,9 +39,8 @@ class KnnEdgeTest : public testing::Test {
   KnnEdgeTest()
       : model_(2),
         tree_(2),
-        sync_(2),
-        sharded_z_(2, 8, ShardRouting::kZPrefix),
-        sharded_h_(2, 8, ShardRouting::kHash) {
+        sharded_1_(2, 1),
+        sharded_8_(2, 8) {
     variants_.push_back(
         {"PhTree",
          [this](const PhKey& k, uint64_t v) { return tree_.Insert(k, v); },
@@ -50,16 +48,9 @@ class KnnEdgeTest : public testing::Test {
          [this](const PhKey& c, size_t n) {
            return KnnSearch(tree_, c, n, KnnMetric::kL2Double);
          }});
-    variants_.push_back(
-        {"PhTreeSync",
-         [this](const PhKey& k, uint64_t v) { return sync_.Insert(k, v); },
-         [this](const PhKey& k) { return sync_.Erase(k); },
-         [this](const PhKey& c, size_t n) {
-           return sync_.KnnSearch(c, n, KnnMetric::kL2Double);
-         }});
-    for (PhTreeSharded* sharded : {&sharded_z_, &sharded_h_}) {
+    for (PhTreeSharded* sharded : {&sharded_1_, &sharded_8_}) {
       variants_.push_back(
-          {sharded == &sharded_z_ ? "PhTreeSharded/z8" : "PhTreeSharded/h8",
+          {sharded == &sharded_1_ ? "PhTreeSharded/z1" : "PhTreeSharded/z8",
            [sharded](const PhKey& k, uint64_t v) {
              return sharded->Insert(k, v);
            },
@@ -108,9 +99,8 @@ class KnnEdgeTest : public testing::Test {
 
   ReferenceModel model_;
   PhTree tree_;
-  PhTreeSync sync_;
-  PhTreeSharded sharded_z_;
-  PhTreeSharded sharded_h_;
+  PhTreeSharded sharded_1_;
+  PhTreeSharded sharded_8_;
   std::vector<KnnVariant> variants_;
 };
 

@@ -254,7 +254,7 @@ TEST(PhTreeArena, SerializeRoundTripBuildsIntoDestinationArena) {
     tree.Insert(keys[i], i);
   }
   const std::vector<uint8_t> bytes = SerializePhTree(tree);
-  std::optional<PhTree> loaded = DeserializePhTree(bytes);
+  auto loaded = DeserializePhTreeOr(bytes);
   ASSERT_TRUE(loaded.has_value());
   ASSERT_NE(loaded->arena(), nullptr);
   EXPECT_EQ(loaded->arena()->live_nodes(),

@@ -387,9 +387,10 @@ TEST(LoadErrors, IoVersusFormatFailuresAreDistinguished) {
   ASSERT_FALSE(empty.has_value());
   EXPECT_EQ(empty.error().code(), StatusCode::kIoError);
 
-  // The legacy bool/optional shims still collapse everything to "no".
-  EXPECT_FALSE(LoadPhTree(file.path()).has_value());
-  EXPECT_FALSE(LoadPhTree("/tmp/phtree_does_not_exist_xyzzy.bin").has_value());
+  // The empty file and a missing one both load nothing.
+  EXPECT_FALSE(LoadPhTreeOr(file.path()).has_value());
+  EXPECT_FALSE(
+      LoadPhTreeOr("/tmp/phtree_does_not_exist_xyzzy.bin").has_value());
 }
 
 TEST(LoadErrors, ParanoidLoadAcceptsHealthySnapshots) {

@@ -2,7 +2,8 @@
 // window-mask algebra against brute force, TreeCursor full / window /
 // prefix scans against filtered enumeration, and the suspend/resume
 // pagination contract (including resume after the token key was erased)
-// across PhTree, PhTreeSync and both PhTreeSharded routing modes.
+// across PhTree and PhTreeSharded (one shard, the default prefix table and
+// a table chosen from bulk-loaded data).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +15,6 @@
 #include "common/rng.h"
 #include "phtree/cursor.h"
 #include "phtree/phtree.h"
-#include "phtree/phtree_sync.h"
 #include "phtree/sharded.h"
 
 namespace phtree {
@@ -400,19 +400,23 @@ TEST(PaginationVariantsTest, SyncAndShardedAgreeWithPlainTree) {
   constexpr uint32_t kKeyBits = 9;
   Rng rng(0x5ADED);
   PhTree plain(kDim);
-  PhTreeSync sync(kDim);
-  PhTreeSharded sharded_z(kDim, 4, ShardRouting::kZPrefix);
-  PhTreeSharded sharded_h(kDim, 4, ShardRouting::kHash);
+  PhTreeSharded one_shard(kDim, 1);
+  PhTreeSharded by_insert(kDim, 4);
+  std::vector<PhEntry> entries;
   for (size_t i = 0; i < 800; ++i) {
     PhKey key(kDim);
     for (auto& v : key) {
       v = rng.NextU64() & LowMask(kKeyBits);
     }
     plain.Insert(key, i);
-    sync.Insert(key, i);
-    sharded_z.Insert(key, i);
-    sharded_h.Insert(key, i);
+    one_shard.Insert(key, i);
+    by_insert.Insert(key, i);
+    entries.push_back(PhEntry{key, i});
   }
+  // Small keys share their top z-bits, so the prefix table keeps them in
+  // one shard; a bulk load into an empty tree splits them by the data.
+  PhTreeSharded by_bulk(kDim, 4);
+  by_bulk.BulkLoad(entries);
   for (int q = 0; q < 25; ++q) {
     PhKey lo(kDim), hi(kDim);
     for (uint32_t d = 0; d < kDim; ++d) {
@@ -424,9 +428,9 @@ TEST(PaginationVariantsTest, SyncAndShardedAgreeWithPlainTree) {
     const size_t page_size = 1 + rng.NextBounded(6);
     const Entries expect = plain.QueryWindow(lo, hi);
     EXPECT_EQ(DrainPages(plain, lo, hi, page_size), expect);
-    EXPECT_EQ(DrainPages(sync, lo, hi, page_size), expect);
-    EXPECT_EQ(DrainPages(sharded_z, lo, hi, page_size), expect);
-    EXPECT_EQ(DrainPages(sharded_h, lo, hi, page_size), expect);
+    EXPECT_EQ(DrainPages(one_shard, lo, hi, page_size), expect);
+    EXPECT_EQ(DrainPages(by_insert, lo, hi, page_size), expect);
+    EXPECT_EQ(DrainPages(by_bulk, lo, hi, page_size), expect);
   }
 }
 

@@ -21,8 +21,8 @@
 #include "common/rng.h"
 #include "phtree/arena.h"
 #include "phtree/phtree.h"
-#include "phtree/phtree_sync.h"
 #include "phtree/serialize.h"
+#include "phtree/sharded.h"
 #include "phtree/validate.h"
 #include "testlib/fault_sweep.h"
 
@@ -193,7 +193,7 @@ TEST(EpochReclaim, FaultSweepCoversCowAllocationSites) {
 
 TEST(EpochReclaim, SyncLoadSwapsUnderLockFreeReaders) {
   const std::string path = testing::TempDir() + "/epoch_load_swap.pht";
-  PhTreeSync tree(2);
+  PhTreeSharded tree(2, 1);
   for (uint64_t i = 0; i < 512; ++i) {
     tree.Insert(K(i << 40, i << 20), i);
   }

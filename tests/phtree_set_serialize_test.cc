@@ -73,7 +73,7 @@ TEST(PhTreeSet, WindowQueriesMatchValueTree) {
 TEST(Serialize, EmptyTreeRoundTrips) {
   PhTree tree(4);
   const auto bytes = SerializePhTree(tree);
-  const auto back = DeserializePhTree(bytes);
+  const auto back = DeserializePhTreeOr(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->size(), 0u);
   EXPECT_EQ(back->dim(), 4u);
@@ -88,7 +88,7 @@ TEST(Serialize, RoundTripPreservesEntriesAndShape) {
                         i);
   }
   const auto bytes = SerializePhTree(tree);
-  const auto back = DeserializePhTree(bytes);
+  const auto back = DeserializePhTreeOr(bytes);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->size(), tree.size());
   const auto a = tree.ComputeStats();
@@ -117,7 +117,7 @@ TEST(Serialize, GoldenPreRefactorV2StreamsLoadBitIdentically) {
       testdata::kGoldenV2Set,
       testdata::kGoldenV2Set + sizeof(testdata::kGoldenV2Set));
 
-  const auto value_tree = DeserializePhTree(golden_value);
+  const auto value_tree = DeserializePhTreeOr(golden_value);
   ASSERT_TRUE(value_tree.has_value());
   EXPECT_EQ(value_tree->dim(), 3u);
   EXPECT_EQ(ValidatePhTree(*value_tree), "");
@@ -140,7 +140,7 @@ TEST(Serialize, GoldenPreRefactorV2StreamsLoadBitIdentically) {
   }
   EXPECT_EQ(SerializePhTree(*value_tree), golden_value);
 
-  const auto set_tree = DeserializePhTree(golden_set);
+  const auto set_tree = DeserializePhTreeOr(golden_set);
   ASSERT_TRUE(set_tree.has_value());
   EXPECT_EQ(set_tree->dim(), 2u);
   EXPECT_FALSE(set_tree->config().store_values);
@@ -182,7 +182,7 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
                      bytes.size() - 1}) {
     std::vector<uint8_t> trunc(bytes.begin(),
                                bytes.begin() + static_cast<long>(cut));
-    EXPECT_FALSE(DeserializePhTree(trunc).has_value()) << cut;
+    EXPECT_FALSE(DeserializePhTreeOr(trunc).has_value()) << cut;
     const auto result = DeserializePhTreeOr(trunc);
     ASSERT_FALSE(result.has_value()) << cut;
     EXPECT_EQ(result.error().code(), StatusCode::kTruncated)
@@ -191,7 +191,7 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
   // Bad magic.
   auto bad = bytes;
   bad[0] = 'X';
-  EXPECT_FALSE(DeserializePhTree(bad).has_value());
+  EXPECT_FALSE(DeserializePhTreeOr(bad).has_value());
   EXPECT_EQ(DeserializePhTreeOr(bad).error().code(), StatusCode::kBadMagic);
   // Unknown version: known "PHT" prefix, unreadable version byte.
   auto bad_version = bytes;
@@ -201,14 +201,14 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
   // Trailing garbage.
   auto long_stream = bytes;
   long_stream.push_back(0);
-  EXPECT_FALSE(DeserializePhTree(long_stream).has_value());
+  EXPECT_FALSE(DeserializePhTreeOr(long_stream).has_value());
   EXPECT_EQ(DeserializePhTreeOr(long_stream).error().code(),
             StatusCode::kTrailerCorrupt);
   // Corrupted header field (the header-length byte) is caught by the
   // header checks even before CRC verification would.
   auto bad_dim = bytes;
   bad_dim[4] = 200;
-  EXPECT_FALSE(DeserializePhTree(bad_dim).has_value());
+  EXPECT_FALSE(DeserializePhTreeOr(bad_dim).has_value());
   EXPECT_EQ(DeserializePhTreeOr(bad_dim).error().code(),
             StatusCode::kHeaderCorrupt);
 }
@@ -239,8 +239,8 @@ TEST(Serialize, LegacyV1StreamsLoadWithWarning) {
     EXPECT_EQ(*found, v);
   });
 
-  // The optional shim also still accepts v1 (silently).
-  EXPECT_TRUE(DeserializePhTree(v1).has_value());
+  // Default options accept v1 too, with no warning out-parameter set.
+  EXPECT_TRUE(DeserializePhTreeOr(v1).has_value());
 
   // Strict mode rejects v1 outright.
   LoadOptions strict;
@@ -279,12 +279,12 @@ TEST(Serialize, FileRoundTrip) {
     tree.InsertOrAssign(PhKey{rng.NextU64(), rng.NextU64()}, i);
   }
   const std::string path = "/tmp/phtree_serialize_test.bin";
-  ASSERT_TRUE(SavePhTree(tree, path));
-  const auto back = LoadPhTree(path);
+  ASSERT_TRUE(SavePhTreeOr(tree, path).ok());
+  const auto back = LoadPhTreeOr(path);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->size(), tree.size());
   std::remove(path.c_str());
-  EXPECT_FALSE(LoadPhTree("/tmp/does_not_exist_phtree.bin").has_value());
+  EXPECT_FALSE(LoadPhTreeOr("/tmp/does_not_exist_phtree.bin").has_value());
 }
 
 TEST(Serialize, PreservesConfig) {
@@ -294,7 +294,7 @@ TEST(Serialize, PreservesConfig) {
   cfg.hysteresis = 0.9;
   PhTree tree(2, cfg);
   tree.Insert(PhKey{1, 1}, 0);
-  const auto back = DeserializePhTree(SerializePhTree(tree));
+  const auto back = DeserializePhTreeOr(SerializePhTree(tree));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->config().repr, NodeRepr::kLhcOnly);
   EXPECT_EQ(back->config().store_values, false);

@@ -8,13 +8,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "datasets/datasets.h"
 #include "phtree/phtree_d.h"
-#include "phtree/phtree_sync.h"
 #include "phtree/serialize.h"
 #include "phtree/shard_routing.h"
 #include "phtree/validate.h"
@@ -38,6 +39,12 @@ std::vector<PhKey> RandomKeys(size_t n, uint32_t dim, uint64_t seed) {
 
 std::string TempPath(const char* name) {
   return testing::TempDir() + "/" + name;
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
 }
 
 TEST(PhTreeSharded, ShardRoutingMatchesShardRegions) {
@@ -207,51 +214,50 @@ TEST(PhTreeSharded, ZOrderLessMatchesTreeEnumerationOrder) {
   EXPECT_NE(ZOrderLess(keys[0], keys[1]), ZOrderLess(keys[1], keys[0]));
 }
 
-TEST(PhTreeSharded, HashRoutingMatchesPlainTreeAndBalancesSkewedKeys) {
+TEST(PhTreeSharded, DataSplitRoutingMatchesPlainTreeAndBalancesSkewedKeys) {
   const uint32_t dim = 3;
   // Keys confined to a narrow band: the top 16 bits of every word are
   // identical, mimicking SortableDoubleBits-encoded uniform doubles (shared
-  // sign + exponent). Z-prefix routing sends ALL of them to one shard;
-  // hash routing must spread them evenly.
+  // sign + exponent). The prefix table sends ALL of them to one shard; a
+  // bulk load into an empty tree splits them at their z-order quantiles.
   Rng rng(31);
   auto band_word = [&rng]() {
     return 0x3ff0000000000000ULL | (rng.NextU64() >> 16);
   };
-  std::vector<PhKey> keys;
-  keys.reserve(4000);
+  std::vector<PhEntry> entries;
+  entries.reserve(4000);
   for (size_t i = 0; i < 4000; ++i) {
     PhKey key(dim);
     for (auto& v : key) {
       v = band_word();
     }
-    keys.push_back(std::move(key));
+    entries.push_back(PhEntry{std::move(key), i});
   }
   PhTree plain(dim);
   PhTreeSharded zp(dim, 8);  // control: demonstrates the skew
-  PhTreeSharded hashed(dim, 8, ShardRouting::kHash);
-  EXPECT_EQ(zp.routing(), ShardRouting::kZPrefix);
-  EXPECT_EQ(hashed.routing(), ShardRouting::kHash);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    plain.Insert(keys[i], i);
-    zp.Insert(keys[i], i);
-    hashed.Insert(keys[i], i);
+  for (const PhEntry& e : entries) {
+    plain.Insert(e.key, e.value);
+    zp.Insert(e.key, e.value);
   }
+  PhTreeSharded split(dim, 8);
+  ASSERT_EQ(split.BulkLoad(entries), entries.size());
   uint32_t zp_nonempty = 0;
   for (uint32_t s = 0; s < 8; ++s) {
     zp_nonempty += zp.UnsafeShard(s).size() > 0 ? 1 : 0;
   }
-  EXPECT_EQ(zp_nonempty, 1u);  // the skew hash routing exists to fix
+  EXPECT_EQ(zp_nonempty, 1u);  // the skew the data splits exist to fix
   for (uint32_t s = 0; s < 8; ++s) {
-    // Every hash shard within [mean/2, 2*mean].
-    EXPECT_GT(hashed.UnsafeShard(s).size(), plain.size() / 16);
-    EXPECT_LT(hashed.UnsafeShard(s).size(), plain.size() / 4);
+    // Every data-split shard within [mean/2, 2*mean].
+    EXPECT_GT(split.UnsafeShard(s).size(), plain.size() / 16);
+    EXPECT_LT(split.UnsafeShard(s).size(), plain.size() / 4);
   }
 
-  for (const auto& key : keys) {
-    EXPECT_EQ(plain.Find(key), hashed.Find(key));
+  for (const PhEntry& e : entries) {
+    EXPECT_EQ(plain.Find(e.key), split.Find(e.key));
   }
 
-  // Vector window queries restore global z-order by sorting the fan-out.
+  // Both window forms come out in global z-order: the shards are visited
+  // in index order, which is z-order.
   for (int q = 0; q < 20; ++q) {
     PhKey lo(dim);
     PhKey hi(dim);
@@ -262,29 +268,24 @@ TEST(PhTreeSharded, HashRoutingMatchesPlainTreeAndBalancesSkewedKeys) {
       hi[d] = std::max(a, b);
     }
     const auto expect = plain.QueryWindow(lo, hi);
-    EXPECT_EQ(expect, hashed.QueryWindow(lo, hi)) << "window query " << q;
-    EXPECT_EQ(plain.CountWindow(lo, hi), hashed.CountWindow(lo, hi));
-    // The visitor form is only per-shard z-ordered under kHash: compare
-    // after re-establishing the global order.
+    EXPECT_EQ(expect, split.QueryWindow(lo, hi)) << "window query " << q;
+    EXPECT_EQ(plain.CountWindow(lo, hi), split.CountWindow(lo, hi));
     std::vector<std::pair<PhKey, uint64_t>> visited;
-    hashed.QueryWindow(lo, hi, [&](const PhKey& k, uint64_t v) {
+    split.QueryWindow(lo, hi, [&](const PhKey& k, uint64_t v) {
       visited.emplace_back(k, v);
-    });
-    std::sort(visited.begin(), visited.end(), [](const auto& a, const auto& b) {
-      return ZOrderLess(a.first, b.first);
     });
     EXPECT_EQ(expect, visited);
   }
 
-  // kNN must search every shard (no spatial pruning) and still return the
-  // globally nearest distances.
+  // kNN prunes by the shard covers and still returns the globally nearest
+  // distances.
   for (int q = 0; q < 10; ++q) {
     PhKey center(dim);
     for (auto& c : center) {
       c = band_word();
     }
     const auto expect = KnnSearch(plain, center, 10);
-    const auto got = hashed.KnnSearch(center, 10);
+    const auto got = split.KnnSearch(center, 10);
     ASSERT_EQ(expect.size(), got.size());
     for (size_t i = 0; i < expect.size(); ++i) {
       EXPECT_DOUBLE_EQ(expect[i].dist2, got[i].dist2)
@@ -292,11 +293,12 @@ TEST(PhTreeSharded, HashRoutingMatchesPlainTreeAndBalancesSkewedKeys) {
     }
   }
 
-  // Snapshots are canonical regardless of routing: a hash-routed tree
-  // round-trips through Save/Load (which re-partitions with ITS routing).
-  const std::string path = TempPath("sharded_hash.phtree");
-  ASSERT_TRUE(hashed.Save(path).ok());
-  PhTreeSharded reload(dim, 4, ShardRouting::kHash);
+  // Snapshots are canonical regardless of the table: a data-split tree
+  // round-trips through Save/Load (which re-partitions with the table the
+  // reloading tree chooses).
+  const std::string path = TempPath("sharded_split.phtree");
+  ASSERT_TRUE(split.Save(path).ok());
+  PhTreeSharded reload(dim, 4);
   ASSERT_TRUE(reload.Load(path).ok());
   EXPECT_EQ(reload.size(), plain.size());
   std::vector<std::pair<PhKey, uint64_t>> plain_all;
@@ -305,10 +307,6 @@ TEST(PhTreeSharded, HashRoutingMatchesPlainTreeAndBalancesSkewedKeys) {
       [&](const PhKey& k, uint64_t v) { plain_all.emplace_back(k, v); });
   reload.ForEach(
       [&](const PhKey& k, uint64_t v) { reload_all.emplace_back(k, v); });
-  std::sort(reload_all.begin(), reload_all.end(),
-            [](const auto& a, const auto& b) {
-              return ZOrderLess(a.first, b.first);
-            });
   EXPECT_EQ(plain_all, reload_all);
   for (uint32_t s = 0; s < reload.num_shards(); ++s) {
     EXPECT_EQ(ValidatePhTree(reload.UnsafeShard(s)), "");
@@ -587,6 +585,14 @@ TEST(PhTreeSharded, BulkLoadIntoNonEmptyTreeKeepsTheTable) {
   EXPECT_LE(MaxShardShare(tree), 0.2);
   EXPECT_TRUE(tree.Insert(PhKey{1, 1}, 0));
   EXPECT_EQ(tree.Find(PhKey{1, 1}), std::optional<uint64_t>(0));
+  // Clear keeps the data splits: single inserts of the same kind of keys
+  // spread over the shards instead of piling into one.
+  tree.Clear();
+  for (const PhEntry& e : EncodedEntries(GenerateCube(5000, 2, 12))) {
+    tree.Insert(e.key, e.value);
+  }
+  EXPECT_EQ(tree.size(), 5000u);
+  EXPECT_LE(MaxShardShare(tree), 0.2);
 }
 
 TEST(PhTreeSharded, ClearEmptiesEveryShard) {
@@ -647,10 +653,31 @@ TEST(PhTreeSharded, SaveLoadRoundTripAcrossShardCounts) {
   ASSERT_TRUE(plain.has_value()) << plain.error().ToString();
   EXPECT_EQ(plain->size(), original.size());
   PhTree rebuilt(dim);
+  std::vector<PhEntry> entries;
   for (size_t i = 0; i < keys.size(); ++i) {
     rebuilt.Insert(keys[i], i);
+    entries.push_back(PhEntry{keys[i], i});
   }
   EXPECT_EQ(SerializePhTree(*plain), SerializePhTree(rebuilt));
+
+  // Save writes the shards straight into the stream, in index order: the
+  // file holds exactly the bytes of the plain tree's stream, under the
+  // prefix table, under a table chosen from the data, and with one shard.
+  const std::vector<uint8_t> expect_bytes = SerializePhTree(rebuilt);
+  EXPECT_EQ(ReadFileBytes(path), expect_bytes) << "prefix-split, 8 shards";
+  PhTreeSharded data_split(dim, 8);
+  data_split.BulkLoad(entries);
+  PhTreeSharded one_shard(dim, 1);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    one_shard.Insert(keys[i], i);
+  }
+  const std::string other_path = TempPath("sharded_snapshot_other.pht");
+  ASSERT_TRUE(data_split.Save(other_path).ok());
+  EXPECT_EQ(ReadFileBytes(other_path), expect_bytes)
+      << "data-split, 8 shards";
+  ASSERT_TRUE(one_shard.Save(other_path).ok());
+  EXPECT_EQ(ReadFileBytes(other_path), expect_bytes) << "1 shard";
+  std::remove(other_path.c_str());
 
   // And the other direction: a plain SavePhTreeOr snapshot loads sharded.
   const std::string plain_path = TempPath("plain_snapshot.pht");
@@ -686,8 +713,8 @@ TEST(PhTreeSharded, LoadReportsIoErrorForMissingFile) {
   EXPECT_EQ(st.code(), StatusCode::kIoError);
 }
 
-TEST(PhTreeSync, SaveLoadRoundTrip) {
-  PhTreeSync tree(2);
+TEST(PhTreeShardedOneShard, SaveLoadRoundTrip) {
+  PhTreeSharded tree(2, 1);
   const auto keys = RandomKeys(1000, 2, 61);
   for (size_t i = 0; i < keys.size(); ++i) {
     tree.Insert(keys[i], i);
@@ -695,22 +722,22 @@ TEST(PhTreeSync, SaveLoadRoundTrip) {
   const std::string path = TempPath("sync_snapshot.pht");
   ASSERT_TRUE(tree.Save(path).ok());
 
-  PhTreeSync reloaded(2);
+  PhTreeSharded reloaded(2, 1);
   ASSERT_TRUE(reloaded.Load(path).ok());
   EXPECT_EQ(reloaded.size(), tree.size());
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(reloaded.Find(keys[i]), std::optional<uint64_t>(i));
   }
 
-  PhTreeSync wrong_dim(3);
+  PhTreeSharded wrong_dim(3, 1);
   const Status st = wrong_dim.Load(path);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
 }
 
-TEST(PhTreeSync, VisitorWindowQueryMatchesVector) {
-  PhTreeSync tree(2);
+TEST(PhTreeShardedOneShard, VisitorWindowQueryMatchesVector) {
+  PhTreeSharded tree(2, 1);
   for (uint64_t i = 0; i < 100; ++i) {
     tree.Insert(PhKey{i, i * 2}, i);
   }

@@ -1,8 +1,8 @@
 // Update(old_key, new_key): outcome semantics on hand-built shapes, the
 // erase+insert equivalence against the ReferenceModel oracle (with the deep
 // structural validator riding along), the fast-path/fallback split on
-// nearby-move workloads, the concurrent wrappers (PhTreeSync and the
-// cross-shard PhTreeSharded path), the allocation-fault sweep with an
+// nearby-move workloads, the thread-safe PhTreeSharded (one shard, and the
+// cross-shard path), the allocation-fault sweep with an
 // update-heavy mix, and the OpKind table's exhaustive round-trip.
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 
 #include "common/rng.h"
 #include "phtree/phtree.h"
-#include "phtree/phtree_sync.h"
 #include "phtree/sharded.h"
 #include "phtree/validate.h"
 #include "testlib/commands.h"
@@ -190,7 +189,7 @@ TEST(Update, RandomChurnMatchesReferenceModel) {
 }
 
 TEST(UpdateSync, DelegatesWithLocking) {
-  PhTreeSync tree(2);
+  PhTreeSharded tree(2, 1);
   ASSERT_TRUE(tree.Insert(PhKey{5, 7}, 42));
   EXPECT_EQ(tree.Update(PhKey{5, 7}, PhKey{6, 9}), UpdateOutcome::kMoved);
   EXPECT_EQ(tree.Find(PhKey{6, 9}), std::optional<uint64_t>(42));

@@ -2,8 +2,9 @@
 // a window with min[d] > max[d] on ANY axis selects the empty set (it is
 // not reordered, not clamped, never an error), and a point window
 // (min == max) selects exactly the entries at that point. PhTree, PhTreeD,
-// PhTreeSync, PhTreeSharded (both routing modes) and both kd-trees must
-// agree byte-for-byte; CritBit1 rides along through the same harness.
+// PhTreeSharded (one shard, the prefix table, a table chosen by a bulk
+// load) and both kd-trees must agree byte-for-byte; CritBit1 rides along
+// through the same harness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +18,6 @@
 #include "kdtree/kdtree2.h"
 #include "phtree/phtree.h"
 #include "phtree/phtree_d.h"
-#include "phtree/phtree_sync.h"
 #include "phtree/sharded.h"
 
 namespace phtree {
@@ -75,23 +75,25 @@ class WindowDegenerateTest : public testing::Test {
       : points_(TestPoints()),
         tree_(2),
         tree_d_(2),
-        sync_(2),
-        sharded_z_(2, 4, ShardRouting::kZPrefix),
-        sharded_h_(2, 4, ShardRouting::kHash),
+        sharded_1_(2, 1),
+        sharded_z_(2, 4),
+        sharded_bulk_(2, 4),
         kd1_(2),
         kd2_(2),
         cb1_(2) {
+    std::vector<PhEntry> entries;
     for (size_t i = 0; i < points_.size(); ++i) {
       const PhKey key = EncodeKeyD(points_[i]);
+      entries.push_back(PhEntry{key, i});
       tree_.Insert(key, i);
       tree_d_.Insert(points_[i], i);
-      sync_.Insert(key, i);
+      sharded_1_.Insert(key, i);
       sharded_z_.Insert(key, i);
-      sharded_h_.Insert(key, i);
       kd1_.Insert(points_[i], i);
       kd2_.Insert(points_[i], i);
       cb1_.Insert(points_[i], i);
     }
+    sharded_bulk_.BulkLoad(entries);
 
     const auto add = [this](std::string name, auto query, auto count) {
       variants_.push_back(
@@ -119,18 +121,10 @@ class WindowDegenerateTest : public testing::Test {
         [this](const PhKeyD& lo, const PhKeyD& hi) {
           return tree_d_.CountWindow(lo, hi);
         });
-    add("PhTreeSync",
-        [this](const PhKeyD& lo, const PhKeyD& hi) {
-          EncodedEntries out =
-              sync_.QueryWindow(EncodeKeyD(lo), EncodeKeyD(hi));
-          SortEntries(&out);
-          return out;
-        },
-        [this](const PhKeyD& lo, const PhKeyD& hi) {
-          return sync_.CountWindow(EncodeKeyD(lo), EncodeKeyD(hi));
-        });
-    for (PhTreeSharded* sharded : {&sharded_z_, &sharded_h_}) {
-      add(sharded == &sharded_z_ ? "PhTreeSharded/z" : "PhTreeSharded/h",
+    for (PhTreeSharded* sharded : {&sharded_1_, &sharded_z_, &sharded_bulk_}) {
+      add(sharded == &sharded_1_   ? "PhTreeSharded/1"
+          : sharded == &sharded_z_ ? "PhTreeSharded/z"
+                                   : "PhTreeSharded/bulk",
           [sharded](const PhKeyD& lo, const PhKeyD& hi) {
             EncodedEntries out =
                 sharded->QueryWindow(EncodeKeyD(lo), EncodeKeyD(hi));
@@ -172,9 +166,9 @@ class WindowDegenerateTest : public testing::Test {
   std::vector<PhKeyD> points_;
   PhTree tree_;
   PhTreeD tree_d_;
-  PhTreeSync sync_;
+  PhTreeSharded sharded_1_;
   PhTreeSharded sharded_z_;
-  PhTreeSharded sharded_h_;
+  PhTreeSharded sharded_bulk_;
   KdTree1 kd1_;
   KdTree2 kd2_;
   CritBit1 cb1_;
