@@ -1,7 +1,7 @@
 // Snapshot persistence benchmarks (google-benchmark): serialisation and
 // deserialisation throughput of format v2 with and without checksum
-// verification, the CRC32C substrate itself, and the atomic durable save
-// path (fsync included). Quantifies what the ISSUE-2 hardening costs: the
+// verification, the CRC32C substrate itself, the atomic durable save path
+// (fsync included), and file loads into a plain and an 8-shard tree. The
 // checksummed-vs-unchecksummed load delta is the price of integrity.
 #include <benchmark/benchmark.h>
 
@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "phtree/phtree.h"
 #include "phtree/serialize.h"
+#include "phtree/sharded.h"
 
 namespace phtree {
 namespace {
@@ -61,19 +62,6 @@ void BM_SerializeV2(benchmark::State& state) {
                           static_cast<int64_t>(tree.size()));
 }
 BENCHMARK(BM_SerializeV2)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_SerializeV1(benchmark::State& state) {
-  const PhTree tree = BuildTree(static_cast<size_t>(state.range(0)), 3, 2);
-  size_t bytes = 0;
-  for (auto _ : state) {
-    const auto out = SerializePhTreeV1(tree);
-    bytes = out.size();
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(bytes));
-}
-BENCHMARK(BM_SerializeV1)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void DeserializeBench(benchmark::State& state, const LoadOptions& opts) {
   const PhTree tree = BuildTree(static_cast<size_t>(state.range(0)), 3, 2);
@@ -139,6 +127,23 @@ void BM_LoadFile(benchmark::State& state) {
                           static_cast<int64_t>(tree.size()));
 }
 BENCHMARK(BM_LoadFile)->Arg(100000)->Unit(benchmark::kMillisecond);
+
+void BM_ShardedLoadFile(benchmark::State& state) {
+  const PhTree tree = BuildTree(static_cast<size_t>(state.range(0)), 3, 2);
+  const std::string path = "/tmp/phtree_sharded_snapshot_bench.bin";
+  if (!SavePhTreeOr(tree, path).ok()) {
+    state.SkipWithError("save failed");
+    return;
+  }
+  PhTreeSharded sharded(3, 8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sharded.Load(path).ok());
+  }
+  std::remove(path.c_str());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(tree.size()));
+}
+BENCHMARK(BM_ShardedLoadFile)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace phtree

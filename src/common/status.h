@@ -26,7 +26,6 @@ enum class StatusCode : uint8_t {
   kTrailerCorrupt,      ///< trailer CRC/count mismatch or trailing garbage
   kCountMismatch,       ///< declared entry count != rebuilt tree size
   kStructureInvalid,    ///< rebuilt tree failed ValidatePhTree
-  kLegacyUnchecksummed, ///< non-fatal: a v1 stream loaded without CRCs
   kInvalidArgument,     ///< caller passed an unusable argument
 };
 
@@ -43,7 +42,6 @@ inline const char* StatusCodeName(StatusCode code) {
     case StatusCode::kTrailerCorrupt: return "TRAILER_CORRUPT";
     case StatusCode::kCountMismatch: return "COUNT_MISMATCH";
     case StatusCode::kStructureInvalid: return "STRUCTURE_INVALID";
-    case StatusCode::kLegacyUnchecksummed: return "LEGACY_UNCHECKSUMMED";
     case StatusCode::kInvalidArgument: return "INVALID_ARGUMENT";
   }
   return "UNKNOWN";

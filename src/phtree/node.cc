@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <new>
 
 namespace phtree {
 
@@ -52,12 +51,6 @@ void Node::ReplaceInfix(uint32_t new_infix_len,
   }
 }
 
-void Node::TrimInfixToLow(uint32_t new_infix_len, const PhTreeConfig& cfg) {
-  if (!TryTrimInfixToLow(new_infix_len, cfg)) {
-    throw std::bad_alloc();
-  }
-}
-
 bool Node::TryTrimInfixToLow(uint32_t new_infix_len, const PhTreeConfig& cfg) {
   assert(new_infix_len <= infix_len_);
   const uint32_t il = infix_len_;
@@ -71,13 +64,6 @@ bool Node::TryTrimInfixToLow(uint32_t new_infix_len, const PhTreeConfig& cfg) {
   // The infix length changes the representation sizes too, so the new infix
   // and any prescribed representation switch commit together.
   return TryReplaceInfixPolicy(new_infix_len, segments, cfg);
-}
-
-void Node::AbsorbParentInfix(const Node& parent, uint64_t addr_in_parent,
-                             const PhTreeConfig& cfg) {
-  if (!TryAbsorbParentInfix(parent, addr_in_parent, cfg)) {
-    throw std::bad_alloc();
-  }
 }
 
 bool Node::TryAbsorbParentInfix(const Node& parent, uint64_t addr_in_parent,
@@ -332,13 +318,6 @@ void Node::InsertPostfixInPlace(uint64_t addr, std::span<const uint64_t> key,
   }
 }
 
-void Node::InsertPostfix(uint64_t addr, std::span<const uint64_t> key,
-                         uint64_t value, const PhTreeConfig& cfg) {
-  if (!TryInsertPostfix(addr, key, value, cfg)) {
-    throw std::bad_alloc();
-  }
-}
-
 bool Node::TryInsertPostfix(uint64_t addr, std::span<const uint64_t> key,
                             uint64_t value, const PhTreeConfig& cfg) {
   assert(FindOrdinal(addr) == kNoOrdinal);
@@ -377,13 +356,6 @@ void Node::InsertSubInPlace(uint64_t addr, NodeHandle child) {
     const uint64_t ge = OrdinalGE(addr);
     const uint64_t p = ge == kNoOrdinal ? num_entries_ : ge;
     LhcInsertEntry(p, addr, /*is_sub=*/true, child, nullptr);
-  }
-}
-
-void Node::InsertSub(uint64_t addr, NodeHandle child,
-                     const PhTreeConfig& cfg) {
-  if (!TryInsertSub(addr, child, cfg)) {
-    throw std::bad_alloc();
   }
 }
 
@@ -444,12 +416,6 @@ void Node::RemoveEntryInPlace(uint64_t addr) {
   }
 }
 
-void Node::RemoveEntry(uint64_t addr, const PhTreeConfig& cfg) {
-  if (!TryRemoveEntry(addr, cfg)) {
-    throw std::bad_alloc();
-  }
-}
-
 bool Node::TryRemoveEntry(uint64_t addr, const PhTreeConfig& cfg) {
   const uint64_t ord = FindOrdinal(addr);
   assert(ord != kNoOrdinal);
@@ -467,13 +433,6 @@ bool Node::TryRemoveEntry(uint64_t addr, const PhTreeConfig& cfg) {
   d.kind = EntryDelta::Kind::kRemove;
   d.addr = addr;
   return TryRebuild(target, d);
-}
-
-void Node::ReplaceEntryWithSub(uint64_t addr, NodeHandle child,
-                               const PhTreeConfig& cfg) {
-  if (!TryReplaceEntryWithSub(addr, child, cfg)) {
-    throw std::bad_alloc();
-  }
 }
 
 bool Node::TryReplaceEntryWithSub(uint64_t addr, NodeHandle child,
@@ -507,13 +466,6 @@ bool Node::TryReplaceEntryWithSub(uint64_t addr, NodeHandle child,
   d.addr = addr;
   d.payload = child;
   return TryRebuild(target, d);
-}
-
-void Node::ReplaceSubWithPostfix(uint64_t addr, std::span<const uint64_t> key,
-                                 uint64_t value, const PhTreeConfig& cfg) {
-  if (!TryReplaceSubWithPostfix(addr, key, value, cfg)) {
-    throw std::bad_alloc();
-  }
 }
 
 bool Node::TryReplaceSubWithPostfix(uint64_t addr,

@@ -86,17 +86,6 @@ class Node {
   /// the infix matches.
   int MatchInfix(std::span<const uint64_t> key) const;
 
-  /// Shortens the infix to its lowest `new_infix_len` bits per dimension
-  /// (used when a node is split: the upper infix bits move to the new
-  /// parent). Adjusts infix_len(); postfix_len() is unchanged.
-  void TrimInfixToLow(uint32_t new_infix_len, const PhTreeConfig& cfg);
-
-  /// Extends the infix upwards by absorbing the infix of `parent` plus this
-  /// node's address bit `addr_in_parent` (used when `parent` is spliced out
-  /// after a deletion left it with a single sub-node). Adjusts infix_len().
-  void AbsorbParentInfix(const Node& parent, uint64_t addr_in_parent,
-                         const PhTreeConfig& cfg);
-
   // ---- Entry lookup ----------------------------------------------------
 
   /// Finds the entry with hypercube address `addr`. Returns an ordinal
@@ -141,50 +130,45 @@ class Node {
 
   // ---- Mutation ----------------------------------------------------------
   //
-  // Every structural mutator exists in two forms. The Try* form is
-  // commit-or-rollback: it either applies the mutation completely (and
-  // atomically lands in the representation the switching rule prescribes
-  // for the *final* state) or returns false leaving the node bit-identical
-  // to its pre-call state. Fallibility comes only from word-block
-  // allocation (the kWordAlloc fault site); mutations that provably fit
-  // the current block run the historical in-place bodies, so the common
-  // case costs exactly what it always did. The legacy void forms are thin
-  // shims that throw std::bad_alloc on failure.
+  // Every structural mutator is commit-or-rollback: it either applies the
+  // mutation completely (and atomically lands in the representation the
+  // switching rule prescribes for the *final* state) or returns false
+  // leaving the node bit-identical to its pre-call state. Fallibility comes
+  // only from word-block allocation (the kWordAlloc fault site); mutations
+  // that provably fit the current block run the historical in-place
+  // bodies, so the common case costs exactly what it always did.
 
   /// Inserts a postfix entry (no entry with `addr` may exist).
-  void InsertPostfix(uint64_t addr, std::span<const uint64_t> key,
-                     uint64_t value, const PhTreeConfig& cfg);
   [[nodiscard]] bool TryInsertPostfix(uint64_t addr,
                                       std::span<const uint64_t> key,
                                       uint64_t value, const PhTreeConfig& cfg);
 
   /// Inserts a sub-node entry (no entry with `addr` may exist).
-  void InsertSub(uint64_t addr, NodeHandle child, const PhTreeConfig& cfg);
   [[nodiscard]] bool TryInsertSub(uint64_t addr, NodeHandle child,
                                   const PhTreeConfig& cfg);
 
   /// Removes the entry with address `addr` (which must exist).
-  void RemoveEntry(uint64_t addr, const PhTreeConfig& cfg);
   [[nodiscard]] bool TryRemoveEntry(uint64_t addr, const PhTreeConfig& cfg);
 
   /// Replaces the postfix entry at `addr` with the sub-node `child`.
-  void ReplaceEntryWithSub(uint64_t addr, NodeHandle child,
-                           const PhTreeConfig& cfg);
   [[nodiscard]] bool TryReplaceEntryWithSub(uint64_t addr, NodeHandle child,
                                             const PhTreeConfig& cfg);
 
   /// Replaces the sub-node entry at `addr` with a postfix entry.
-  void ReplaceSubWithPostfix(uint64_t addr, std::span<const uint64_t> key,
-                             uint64_t value, const PhTreeConfig& cfg);
   [[nodiscard]] bool TryReplaceSubWithPostfix(uint64_t addr,
                                               std::span<const uint64_t> key,
                                               uint64_t value,
                                               const PhTreeConfig& cfg);
 
-  /// Fallible forms of the infix mutators (see TrimInfixToLow /
-  /// AbsorbParentInfix above).
+  /// Shortens the infix to its lowest `new_infix_len` bits per dimension
+  /// (used when a node is split: the upper infix bits move to the new
+  /// parent). Adjusts infix_len(); postfix_len() is unchanged.
   [[nodiscard]] bool TryTrimInfixToLow(uint32_t new_infix_len,
                                        const PhTreeConfig& cfg);
+
+  /// Extends the infix upwards by absorbing the infix of `parent` plus this
+  /// node's address bit `addr_in_parent` (used when `parent` is spliced out
+  /// after a deletion left it with a single sub-node). Adjusts infix_len().
   [[nodiscard]] bool TryAbsorbParentInfix(const Node& parent,
                                           uint64_t addr_in_parent,
                                           const PhTreeConfig& cfg);

@@ -9,7 +9,9 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
+#include "common/bits.h"
 #include "common/crc32c.h"
 #include "common/vfs.h"
 #include "phtree/validate.h"
@@ -23,7 +25,6 @@
 namespace phtree {
 namespace {
 
-constexpr uint8_t kMagicV1[4] = {'P', 'H', 'T', '1'};
 constexpr uint8_t kMagicV2[4] = {'P', 'H', 'T', '2'};
 
 // v2 header: magic(4) + payload_len(4) + payload + header CRC(4). The
@@ -128,17 +129,23 @@ std::string HexU32(uint32_t v) {
   return buf;
 }
 
-struct HeaderV2 {
-  PhTreeConfig config;
-  uint32_t dim;
-  uint64_t n;
-  uint32_t record_count;
-};
-
-/// Parses and (optionally) CRC-verifies the fixed v2 header. `bytes` is
-/// known to start with the v2 magic.
-StatusOr<HeaderV2> ParseHeaderV2(const std::vector<uint8_t>& bytes,
-                                 bool verify_checksums) {
+/// Checks the magic and parses the fixed v2 header, CRC-verified when
+/// `verify_checksum` is set.
+StatusOr<SnapshotHeader> ParseHeader(const std::vector<uint8_t>& bytes,
+                                     bool verify_checksum) {
+  if (bytes.size() < 4) {
+    return Err(StatusCode::kTruncated, bytes.size(),
+               "stream is shorter than the 4-byte magic");
+  }
+  if (std::memcmp(bytes.data(), kMagicV2, 4) != 0) {
+    if (std::memcmp(bytes.data(), "PHT", 3) == 0) {
+      return Err(StatusCode::kUnsupportedVersion, 3,
+                 "snapshot version '" +
+                     std::string(1, static_cast<char>(bytes[3])) +
+                     "' is not readable by this build (knows v2)");
+    }
+    return Err(StatusCode::kBadMagic, 0, "not a PH-tree snapshot");
+  }
   if (bytes.size() < kHeaderEnd) {
     return Err(StatusCode::kTruncated, bytes.size(),
                "stream ends inside the header (need " +
@@ -152,7 +159,7 @@ StatusOr<HeaderV2> ParseHeaderV2(const std::vector<uint8_t>& bytes,
                "header payload length is " + std::to_string(payload_len) +
                    ", expected " + std::to_string(kHeaderPayloadLen));
   }
-  if (verify_checksums) {
+  if (verify_checksum) {
     const size_t crc_offset = kHeaderEnd - 4;
     const uint32_t stored =
         static_cast<uint32_t>(bytes[crc_offset]) |
@@ -166,7 +173,7 @@ StatusOr<HeaderV2> ParseHeaderV2(const std::vector<uint8_t>& bytes,
                      ", computed " + HexU32(computed) + ")");
     }
   }
-  HeaderV2 h;
+  SnapshotHeader h;
   const size_t dim_offset = r.pos();
   h.dim = r.GetU32();
   if (h.dim < 1 || h.dim > kMaxDims) {
@@ -184,216 +191,14 @@ StatusOr<HeaderV2> ParseHeaderV2(const std::vector<uint8_t>& bytes,
   h.config.hysteresis = std::bit_cast<double>(r.GetU64());
   h.config.hc_max_dim = r.GetU32();
   h.config.store_values = r.GetU8() != 0;
-  h.n = r.GetU64();
+  h.entry_count = r.GetU64();
   h.record_count = r.GetU32();
-  return h;
-}
-
-/// Rebuilds the tree from a v2 stream. See DESIGN.md "Snapshot format v2"
-/// for the layout this walks.
-Expected<PhTree, SnapshotError> DeserializeV2(
-    const std::vector<uint8_t>& bytes, const LoadOptions& options) {
-  auto header = ParseHeaderV2(bytes, options.verify_checksums);
-  if (!header) {
-    return header.error();
-  }
-  const HeaderV2& h = *header;
-
-  PhTree tree(h.dim, h.config);
-  // Cap the reservation by the stream's physical capacity (each entry costs
-  // at least one delta byte per dimension, plus 8 value bytes when values
-  // are stored) so a corrupt count cannot trigger a huge allocation.
+  // Each entry costs at least one delta byte per dimension, plus 8 value
+  // bytes when values are stored.
   const uint64_t min_entry_bytes = h.dim + (h.config.store_values ? 8 : 0);
-  const uint64_t max_entries = bytes.size() / std::max<uint64_t>(1, min_entry_bytes);
-  tree.ReserveNodes(static_cast<size_t>(std::min<uint64_t>(h.n, max_entries)));
-
-  PhKey key(h.dim, 0);
-  size_t pos = kHeaderEnd;
-  for (uint32_t rec = 0; rec < h.record_count; ++rec) {
-    if (pos + 4 > bytes.size()) {
-      return Err(StatusCode::kTruncated, pos,
-                 "stream ends before the length field of record " +
-                     std::to_string(rec));
-    }
-    Reader len_reader(bytes.data(), pos, bytes.size());
-    const uint32_t payload_len = len_reader.GetU32();
-    const size_t payload_begin = pos + 4;
-    if (payload_len < 4 || payload_len > bytes.size() - payload_begin ||
-        bytes.size() - payload_begin - payload_len < 4) {
-      // A length that cannot fit its payload + CRC before the end of the
-      // stream: either a flipped length field or a truncated stream.
-      return Err(StatusCode::kTruncated, pos,
-                 "record " + std::to_string(rec) + " claims " +
-                     std::to_string(payload_len) +
-                     " payload bytes but the stream cannot hold them");
-    }
-    const size_t crc_offset = payload_begin + payload_len;
-    if (options.verify_checksums) {
-      Reader crc_reader(bytes.data(), crc_offset, crc_offset + 4);
-      const uint32_t stored = crc_reader.GetU32();
-      const uint32_t computed =
-          Crc32c(bytes.data() + payload_begin, payload_len);
-      if (stored != computed) {
-        return Err(StatusCode::kRecordCorrupt, pos,
-                   "record " + std::to_string(rec) + " CRC mismatch (stored " +
-                       HexU32(stored) + ", computed " + HexU32(computed) + ")");
-      }
-    }
-    Reader r(bytes.data(), payload_begin, crc_offset);
-    const uint32_t entry_count = r.GetU32();
-    for (uint32_t i = 0; i < entry_count; ++i) {
-      const size_t entry_offset = r.pos();
-      for (uint32_t d = 0; d < h.dim; ++d) {
-        key[d] ^= r.GetDelta();
-      }
-      const uint64_t value = h.config.store_values ? r.GetU64() : 0;
-      if (!r.ok()) {
-        return Err(StatusCode::kRecordCorrupt, entry_offset,
-                   "record " + std::to_string(rec) + " entry " +
-                       std::to_string(i) + " is undecodable (runs past the "
-                       "record payload or has a delta length > 8)");
-      }
-      if (!tree.Insert(key, value)) {
-        return Err(StatusCode::kRecordCorrupt, entry_offset,
-                   "record " + std::to_string(rec) + " entry " +
-                       std::to_string(i) + " duplicates an earlier key");
-      }
-    }
-    if (!r.AtEnd()) {
-      return Err(StatusCode::kRecordCorrupt, r.pos(),
-                 "record " + std::to_string(rec) + " has " +
-                     std::to_string(r.remaining()) +
-                     " stray bytes after its last entry");
-    }
-    pos = crc_offset + 4;
-  }
-
-  if (tree.size() != h.n) {
-    return Err(StatusCode::kCountMismatch, pos,
-               "header declares " + std::to_string(h.n) +
-                   " entries but the records rebuilt " +
-                   std::to_string(tree.size()));
-  }
-
-  const size_t trailer_begin = pos;
-  if (bytes.size() - trailer_begin < kTrailerLen) {
-    return Err(StatusCode::kTruncated, trailer_begin,
-               "stream ends inside the trailer (need " +
-                   std::to_string(kTrailerLen) + " bytes, have " +
-                   std::to_string(bytes.size() - trailer_begin) + ")");
-  }
-  Reader t(bytes.data(), trailer_begin, bytes.size());
-  const uint64_t trailer_n = t.GetU64();
-  const uint32_t trailer_records = t.GetU32();
-  const uint32_t stored_stream_crc = t.GetU32();
-  if (trailer_n != h.n || trailer_records != h.record_count) {
-    return Err(StatusCode::kTrailerCorrupt, trailer_begin,
-               "trailer counts (" + std::to_string(trailer_n) + " entries, " +
-                   std::to_string(trailer_records) +
-                   " records) disagree with the header (" +
-                   std::to_string(h.n) + ", " +
-                   std::to_string(h.record_count) + ")");
-  }
-  if (options.verify_checksums) {
-    const uint32_t computed = Crc32c(bytes.data(), trailer_begin);
-    if (stored_stream_crc != computed) {
-      return Err(StatusCode::kTrailerCorrupt, trailer_begin + 12,
-                 "stream CRC mismatch (stored " + HexU32(stored_stream_crc) +
-                     ", computed " + HexU32(computed) + ")");
-    }
-  }
-  if (!t.AtEnd()) {
-    return Err(StatusCode::kTrailerCorrupt, t.pos(),
-               std::to_string(t.remaining()) +
-                   " trailing garbage bytes after the trailer");
-  }
-
-  if (options.validate_structure) {
-    const std::string violation = ValidatePhTree(tree);
-    if (!violation.empty()) {
-      return Err(StatusCode::kStructureInvalid, Status::kNoOffset,
-                 "rebuilt tree fails validation: " + violation);
-    }
-  }
-  return tree;
-}
-
-/// Rebuilds the tree from a legacy v1 stream (no framing, no checksums).
-Expected<PhTree, SnapshotError> DeserializeV1(
-    const std::vector<uint8_t>& bytes, const LoadOptions& options) {
-  Reader r(bytes.data(), 4, bytes.size());
-  const size_t dim_offset = r.pos();
-  const uint32_t dim = r.GetU32();
-  if (!r.ok()) {
-    return Err(StatusCode::kTruncated, dim_offset,
-               "v1 stream ends inside the header");
-  }
-  if (dim < 1 || dim > kMaxDims) {
-    return Err(StatusCode::kHeaderCorrupt, dim_offset,
-               "dimensionality " + std::to_string(dim) + " outside [1, " +
-                   std::to_string(kMaxDims) + "]");
-  }
-  PhTreeConfig config;
-  const size_t repr_offset = r.pos();
-  const uint8_t repr = r.GetU8();
-  if (r.ok() && repr > static_cast<uint8_t>(NodeRepr::kBhcOnly)) {
-    return Err(StatusCode::kHeaderCorrupt, repr_offset,
-               "unknown node representation " + std::to_string(repr));
-  }
-  config.repr = static_cast<NodeRepr>(repr);
-  config.hysteresis = std::bit_cast<double>(r.GetU64());
-  config.hc_max_dim = r.GetU32();
-  config.store_values = r.GetU8() != 0;
-  const uint64_t n = r.GetU64();
-  if (!r.ok()) {
-    return Err(StatusCode::kTruncated, r.pos(),
-               "v1 stream ends inside the header");
-  }
-  PhTree tree(dim, config);
-  const uint64_t max_entries = bytes.size() / (dim + 8);
-  tree.ReserveNodes(static_cast<size_t>(std::min<uint64_t>(n, max_entries)));
-  PhKey key(dim, 0);
-  for (uint64_t i = 0; i < n; ++i) {
-    const size_t entry_offset = r.pos();
-    for (uint32_t d = 0; d < dim; ++d) {
-      key[d] ^= r.GetDelta();
-    }
-    const uint64_t value = r.GetU64();  // v1 stores values unconditionally
-    if (!r.ok()) {
-      return Err(StatusCode::kTruncated, entry_offset,
-                 "v1 stream ends inside entry " + std::to_string(i) + " of " +
-                     std::to_string(n));
-    }
-    if (!tree.Insert(key, value)) {
-      return Err(StatusCode::kRecordCorrupt, entry_offset,
-                 "entry " + std::to_string(i) + " duplicates an earlier key");
-    }
-  }
-  if (!r.AtEnd()) {
-    return Err(StatusCode::kTrailerCorrupt, r.pos(),
-               std::to_string(r.remaining()) +
-                   " trailing garbage bytes after the last entry");
-  }
-  if (tree.size() != n) {
-    return Err(StatusCode::kCountMismatch, r.pos(),
-               "header declares " + std::to_string(n) +
-                   " entries but the stream rebuilt " +
-                   std::to_string(tree.size()));
-  }
-  if (options.validate_structure) {
-    const std::string violation = ValidatePhTree(tree);
-    if (!violation.empty()) {
-      return Err(StatusCode::kStructureInvalid, Status::kNoOffset,
-                 "rebuilt tree fails validation: " + violation);
-    }
-  }
-  if (options.legacy_warning != nullptr) {
-    *options.legacy_warning = Err(
-        StatusCode::kLegacyUnchecksummed, Status::kNoOffset,
-        "legacy v1 snapshot loaded without checksum protection; re-save to "
-        "upgrade to format v2");
-  }
-  return tree;
+  h.capacity_hint = static_cast<size_t>(
+      std::min<uint64_t>(h.entry_count, bytes.size() / min_entry_bytes));
+  return h;
 }
 
 Status IoError(const std::string& what) {
@@ -457,11 +262,9 @@ Status FsyncParentDir(const std::string& path) {
   return Status::Ok();
 }
 
-/// Reads a whole file, classifying the failure modes a caller cannot tell
-/// apart from a parse error: missing/unreadable files, directories and
-/// zero-length files all come back as kIoError with a message naming the
-/// condition, before any snapshot parsing runs.
-StatusOr<std::vector<uint8_t>> ReadFileOr(const std::string& path) {
+}  // namespace
+
+StatusOr<std::vector<uint8_t>> ReadSnapshotFileOr(const std::string& path) {
   Vfs& vfs = *GetVfs();
   const int fd = OpenRetry(vfs, path.c_str(), O_RDONLY, 0);
   if (fd < 0) {
@@ -507,8 +310,6 @@ StatusOr<std::vector<uint8_t>> ReadFileOr(const std::string& path) {
   CloseRetry(vfs, fd);
   return bytes;
 }
-
-}  // namespace
 
 std::vector<uint8_t> SerializePhTree(const PhTree& tree,
                                      const SaveOptions& options) {
@@ -586,49 +387,134 @@ std::vector<uint8_t> SerializePhTree(std::span<const PhTree> parts,
   return out;
 }
 
-std::vector<uint8_t> SerializePhTreeV1(const PhTree& tree) {
-  std::vector<uint8_t> out;
-  out.insert(out.end(), kMagicV1, kMagicV1 + 4);
-  PutU32(&out, tree.dim());
-  PutU8(&out, static_cast<uint8_t>(tree.config().repr));
-  PutU64(&out, std::bit_cast<uint64_t>(tree.config().hysteresis));
-  PutU32(&out, tree.config().hc_max_dim);
-  PutU8(&out, tree.config().store_values ? 1 : 0);
-  PutU64(&out, tree.size());
-  PhKey prev(tree.dim(), 0);
-  tree.ForEach([&](const PhKey& key, uint64_t value) {
-    for (uint32_t d = 0; d < tree.dim(); ++d) {
-      PutDelta(&out, key[d] ^ prev[d]);
+Status DecodeSnapshotOr(
+    const std::vector<uint8_t>& bytes, const LoadOptions& options,
+    const std::function<Status(const SnapshotHeader&)>& begin,
+    const std::function<void(const PhKey&, uint64_t)>& add) {
+  auto header = ParseHeader(bytes, options.verify_checksums);
+  if (!header) {
+    return header.error();
+  }
+  const SnapshotHeader& h = *header;
+  if (Status st = begin(h); !st.ok()) {
+    return st;
+  }
+  auto layout = DescribeSnapshot(bytes);
+  if (!layout) {
+    return layout.error();
+  }
+
+  // Keys alternate between two buffers, so each one is compared with its
+  // predecessor without a copy.
+  PhKey key(h.dim, 0);
+  PhKey prev(h.dim, 0);
+  uint64_t decoded = 0;
+  for (size_t rec = 0; rec < layout->records.size(); ++rec) {
+    const SnapshotLayout::Record& record = layout->records[rec];
+    if (options.verify_checksums) {
+      Reader crc_reader(bytes.data(), record.crc_offset, record.end);
+      const uint32_t stored = crc_reader.GetU32();
+      const uint32_t computed =
+          Crc32c(bytes.data() + record.payload_begin,
+                 record.crc_offset - record.payload_begin);
+      if (stored != computed) {
+        return Err(StatusCode::kRecordCorrupt, record.begin,
+                   "record " + std::to_string(rec) + " CRC mismatch (stored " +
+                       HexU32(stored) + ", computed " + HexU32(computed) + ")");
+      }
     }
-    PutU64(&out, value);
-    prev = key;
-  });
-  return out;
+    Reader r(bytes.data(), record.payload_begin, record.crc_offset);
+    const uint32_t entry_count = r.GetU32();
+    for (uint32_t i = 0; i < entry_count; ++i) {
+      const size_t entry_offset = r.pos();
+      key.swap(prev);
+      for (uint32_t d = 0; d < h.dim; ++d) {
+        key[d] = prev[d] ^ r.GetDelta();
+      }
+      const uint64_t value = h.config.store_values ? r.GetU64() : 0;
+      if (!r.ok()) {
+        return Err(StatusCode::kRecordCorrupt, entry_offset,
+                   "record " + std::to_string(rec) + " entry " +
+                       std::to_string(i) + " is undecodable (runs past the "
+                       "record payload or has a delta length > 8)");
+      }
+      if (decoded > 0 && !ZOrderLess(prev, key)) {
+        return Err(StatusCode::kRecordCorrupt, entry_offset,
+                   "record " + std::to_string(rec) + " entry " +
+                       std::to_string(i) +
+                       " does not follow the previous key in z-order "
+                       "(a duplicate or reordered key)");
+      }
+      add(key, value);
+      ++decoded;
+    }
+    if (!r.AtEnd()) {
+      return Err(StatusCode::kRecordCorrupt, r.pos(),
+                 "record " + std::to_string(rec) + " has " +
+                     std::to_string(r.remaining()) +
+                     " stray bytes after its last entry");
+    }
+  }
+
+  const size_t trailer_begin = layout->trailer_begin;
+  if (decoded != h.entry_count) {
+    return Err(StatusCode::kCountMismatch, trailer_begin,
+               "header declares " + std::to_string(h.entry_count) +
+                   " entries but the records hold " + std::to_string(decoded));
+  }
+  Reader t(bytes.data(), trailer_begin, layout->trailer_end);
+  const uint64_t trailer_n = t.GetU64();
+  const uint32_t trailer_records = t.GetU32();
+  const uint32_t stored_stream_crc = t.GetU32();
+  if (trailer_n != h.entry_count || trailer_records != h.record_count) {
+    return Err(StatusCode::kTrailerCorrupt, trailer_begin,
+               "trailer counts (" + std::to_string(trailer_n) + " entries, " +
+                   std::to_string(trailer_records) +
+                   " records) disagree with the header (" +
+                   std::to_string(h.entry_count) + ", " +
+                   std::to_string(h.record_count) + ")");
+  }
+  if (options.verify_checksums) {
+    const uint32_t computed = Crc32c(bytes.data(), trailer_begin);
+    if (stored_stream_crc != computed) {
+      return Err(StatusCode::kTrailerCorrupt, trailer_begin + 12,
+                 "stream CRC mismatch (stored " + HexU32(stored_stream_crc) +
+                     ", computed " + HexU32(computed) + ")");
+    }
+  }
+  if (layout->trailer_end != bytes.size()) {
+    return Err(StatusCode::kTrailerCorrupt, layout->trailer_end,
+               std::to_string(bytes.size() - layout->trailer_end) +
+                   " trailing garbage bytes after the trailer");
+  }
+  return Status::Ok();
 }
 
 Expected<PhTree, SnapshotError> DeserializePhTreeOr(
     const std::vector<uint8_t>& bytes, const LoadOptions& options) {
-  if (bytes.size() < 4) {
-    return Err(StatusCode::kTruncated, bytes.size(),
-               "stream is shorter than the 4-byte magic");
+  std::optional<PhTree> tree;
+  const Status st = DecodeSnapshotOr(
+      bytes, options,
+      [&tree](const SnapshotHeader& h) {
+        tree.emplace(h.dim, h.config);
+        tree->ReserveNodes(h.capacity_hint);
+        return Status::Ok();
+      },
+      [&tree](const PhKey& key, uint64_t value) {
+        // Strict z-order already rules out duplicates.
+        tree->Insert(key, value);
+      });
+  if (!st.ok()) {
+    return st;
   }
-  if (std::memcmp(bytes.data(), kMagicV2, 4) == 0) {
-    return DeserializeV2(bytes, options);
-  }
-  if (std::memcmp(bytes.data(), kMagicV1, 4) == 0) {
-    if (!options.accept_legacy_v1) {
-      return Err(StatusCode::kUnsupportedVersion, 0,
-                 "legacy v1 snapshot rejected (accept_legacy_v1 is off)");
+  if (options.validate_structure) {
+    const std::string violation = ValidatePhTree(*tree);
+    if (!violation.empty()) {
+      return Err(StatusCode::kStructureInvalid, Status::kNoOffset,
+                 "rebuilt tree fails validation: " + violation);
     }
-    return DeserializeV1(bytes, options);
   }
-  if (std::memcmp(bytes.data(), "PHT", 3) == 0) {
-    return Err(StatusCode::kUnsupportedVersion, 3,
-               "snapshot version '" +
-                   std::string(1, static_cast<char>(bytes[3])) +
-                   "' is not readable by this build (knows v1, v2)");
-  }
-  return Err(StatusCode::kBadMagic, 0, "not a PH-tree snapshot");
+  return std::move(*tree);
 }
 
 Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
@@ -680,7 +566,7 @@ Status SavePhTreeOr(const PhTree& tree, const std::string& path,
 
 Expected<PhTree, SnapshotError> LoadPhTreeOr(const std::string& path,
                                              const LoadOptions& options) {
-  auto bytes = ReadFileOr(path);
+  auto bytes = ReadSnapshotFileOr(path);
   if (!bytes) {
     return bytes.error();
   }
@@ -688,28 +574,17 @@ Expected<PhTree, SnapshotError> LoadPhTreeOr(const std::string& path,
 }
 
 StatusOr<SnapshotLayout> DescribeSnapshot(const std::vector<uint8_t>& bytes) {
-  if (bytes.size() < 4) {
-    return Err(StatusCode::kTruncated, bytes.size(),
-               "stream is shorter than the 4-byte magic");
-  }
-  if (std::memcmp(bytes.data(), kMagicV1, 4) == 0) {
-    return Err(StatusCode::kUnsupportedVersion, 0,
-               "v1 snapshots have no record framing to describe");
-  }
-  if (std::memcmp(bytes.data(), kMagicV2, 4) != 0) {
-    return Err(StatusCode::kBadMagic, 0, "not a PH-tree snapshot");
-  }
-  auto header = ParseHeaderV2(bytes, /*verify_checksums=*/false);
+  auto header = ParseHeader(bytes, /*verify_checksum=*/false);
   if (!header) {
     return header.error();
   }
   SnapshotLayout layout;
   layout.version = kSnapshotVersion;
   layout.header_end = kHeaderEnd;
-  layout.entry_count = header->n;
+  layout.entry_count = header->entry_count;
   size_t pos = kHeaderEnd;
   for (uint32_t rec = 0; rec < header->record_count; ++rec) {
-    if (pos + 4 > bytes.size()) {
+    if (bytes.size() - pos < 4) {
       return Err(StatusCode::kTruncated, pos,
                  "stream ends before the length field of record " +
                      std::to_string(rec));
@@ -719,32 +594,35 @@ StatusOr<SnapshotLayout> DescribeSnapshot(const std::vector<uint8_t>& bytes) {
     const size_t payload_begin = pos + 4;
     if (payload_len < 4 || payload_len > bytes.size() - payload_begin ||
         bytes.size() - payload_begin - payload_len < 4) {
+      // A length that cannot fit its payload + CRC before the end of the
+      // stream: either a flipped length field or a truncated stream.
       return Err(StatusCode::kTruncated, pos,
-                 "record " + std::to_string(rec) +
-                     " does not fit in the stream");
+                 "record " + std::to_string(rec) + " claims " +
+                     std::to_string(payload_len) +
+                     " payload bytes but the stream cannot hold them");
     }
-    Reader pr(bytes.data(), payload_begin, payload_begin + 4);
     SnapshotLayout::Record record;
     record.begin = pos;
     record.payload_begin = payload_begin;
     record.crc_offset = payload_begin + payload_len;
     record.end = record.crc_offset + 4;
-    record.entry_count = pr.GetU32();
+    record.entry_count = r.GetU32();
     layout.records.push_back(record);
     pos = record.end;
   }
-  if (bytes.size() - pos != kTrailerLen) {
+  if (bytes.size() - pos < kTrailerLen) {
     return Err(StatusCode::kTruncated, pos,
-               "trailer region is " + std::to_string(bytes.size() - pos) +
-                   " bytes, expected " + std::to_string(kTrailerLen));
+               "stream ends inside the trailer (need " +
+                   std::to_string(kTrailerLen) + " bytes, have " +
+                   std::to_string(bytes.size() - pos) + ")");
   }
   layout.trailer_begin = pos;
-  layout.trailer_end = bytes.size();
+  layout.trailer_end = pos + kTrailerLen;
   return layout;
 }
 
 StatusOr<SnapshotLayout> DescribeSnapshotFile(const std::string& path) {
-  auto bytes = ReadFileOr(path);
+  auto bytes = ReadSnapshotFileOr(path);
   if (!bytes) {
     return bytes.error();
   }

@@ -13,15 +13,13 @@
 // silently deserialising into a broken tree. Loads report failures through
 // Status/Expected (common/status.h) with the error class and byte offset;
 // saves are atomic and durable (tmp file + fsync + rename + dir fsync).
-// Full byte layout: DESIGN.md, "Snapshot format v2".
-//
-// Legacy v1 streams (magic "PHT1", no checksums) still load by default but
-// surface a kLegacyUnchecksummed warning through LoadOptions::legacy_warning;
-// set LoadOptions::accept_legacy_v1 = false to reject them outright.
+// Full byte layout: DESIGN.md, "Snapshot format v2". v2 is the only format:
+// any other "PHT" version fails with kUnsupportedVersion.
 #ifndef PHTREE_PHTREE_SERIALIZE_H_
 #define PHTREE_PHTREE_SERIALIZE_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,8 +33,7 @@ namespace phtree {
 /// codes follow the snapshot error-class contract (see StatusCode).
 using SnapshotError = Status;
 
-inline constexpr uint32_t kSnapshotVersionLegacy = 1;  ///< "PHT1", no CRCs
-inline constexpr uint32_t kSnapshotVersion = 2;        ///< "PHT2", current
+inline constexpr uint32_t kSnapshotVersion = 2;  ///< "PHT2"
 
 /// Writer knobs.
 struct SaveOptions {
@@ -48,22 +45,28 @@ struct SaveOptions {
 
 /// Loader knobs ("paranoid load" = both verifications on).
 struct LoadOptions {
-  /// Verify header, per-record and whole-stream CRC32C checksums (v2 only;
-  /// v1 streams have none). Turning this off trades integrity for load
-  /// speed — see bench/snapshot_persistence.
+  /// Verify the header, per-record and whole-stream CRC32C checksums.
+  /// Turning this off trades integrity for load speed — see
+  /// bench/snapshot_persistence. The framing, count and z-order checks run
+  /// either way.
   bool verify_checksums = true;
 
-  /// Run ValidatePhTree on the rebuilt tree and fail with
-  /// kStructureInvalid if any structural invariant is violated.
+  /// Run ValidatePhTree on the rebuilt tree (on every shard tree, for
+  /// PhTreeSharded::Load) and fail with kStructureInvalid if any
+  /// structural invariant is violated.
   bool validate_structure = false;
+};
 
-  /// Accept legacy v1 streams. When false they fail with
-  /// kUnsupportedVersion instead of loading.
-  bool accept_legacy_v1 = true;
-
-  /// Optional out-parameter: set to a kLegacyUnchecksummed warning when a
-  /// v1 stream loads successfully (left untouched otherwise).
-  Status* legacy_warning = nullptr;
+/// The fields of a v2 header, as DecodeSnapshotOr hands them to its sink
+/// before the first entry.
+struct SnapshotHeader {
+  uint32_t dim;
+  PhTreeConfig config;
+  uint64_t entry_count;    ///< declared by the header
+  uint32_t record_count;   ///< declared by the header
+  /// entry_count capped by the most entries the stream's size can hold,
+  /// so reserving it is safe even when the count is forged.
+  size_t capacity_hint;
 };
 
 /// Serialises `tree` into a format-v2 byte buffer.
@@ -78,14 +81,20 @@ std::vector<uint8_t> SerializePhTree(const PhTree& tree,
 std::vector<uint8_t> SerializePhTree(std::span<const PhTree> parts,
                                      const SaveOptions& options = {});
 
-/// Legacy v1 writer, kept for migration tooling and v1->v2 compatibility
-/// tests. New snapshots should always be v2.
-std::vector<uint8_t> SerializePhTreeV1(const PhTree& tree);
+/// The one snapshot decoder, run by every loader: verifies the header,
+/// calls `begin` with it (a non-OK status aborts the decode), walks the
+/// framing (DescribeSnapshot), then checks each record's CRC and calls
+/// `add` for its entries, which must be in strictly ascending z-order;
+/// last come the count and trailer checks. Errors carry the class, byte
+/// offset and a message naming what broke (e.g. both CRC values).
+Status DecodeSnapshotOr(
+    const std::vector<uint8_t>& bytes, const LoadOptions& options,
+    const std::function<Status(const SnapshotHeader&)>& begin,
+    const std::function<void(const PhKey&, uint64_t)>& add);
 
-/// Reconstructs a tree from SerializePhTree / SerializePhTreeV1 output.
-/// On failure the error carries the class, the byte offset of the problem
-/// and a message naming what broke (e.g. a CRC mismatch with both values).
-/// The configuration of the returned tree is taken from the stream.
+/// Reconstructs a tree from SerializePhTree output (DecodeSnapshotOr into
+/// a PhTree). The configuration of the returned tree is taken from the
+/// stream.
 Expected<PhTree, SnapshotError> DeserializePhTreeOr(
     const std::vector<uint8_t>& bytes, const LoadOptions& options = {});
 
@@ -105,17 +114,22 @@ Status SavePhTreeOr(const PhTree& tree, const std::string& path,
 Status WriteSnapshotFileOr(const std::vector<uint8_t>& bytes,
                            const std::string& path);
 
-/// Reads and deserialises a snapshot file. I/O failures (missing file,
-/// short read) come back as kIoError; malformed contents keep their format
-/// error classes — callers can finally tell the two apart.
+/// Reads a whole snapshot file. Missing/unreadable files, directories,
+/// zero-length files and short reads fail with kIoError, with the errno
+/// text or the condition in the message.
+StatusOr<std::vector<uint8_t>> ReadSnapshotFileOr(const std::string& path);
+
+/// Reads and deserialises a snapshot file. I/O failures come back as
+/// kIoError (ReadSnapshotFileOr); malformed contents keep their format
+/// error classes — callers can tell the two apart.
 Expected<PhTree, SnapshotError> LoadPhTreeOr(const std::string& path,
                                              const LoadOptions& options = {});
 
 /// Byte map of a v2 snapshot: where the header, each record and the
-/// trailer sit. Used by diagnostics and by the corruption fault-injection
-/// harness (src/benchlib/snapshot_fault.h) to aim mutations at specific
-/// structures. Only framing is walked — CRCs are not verified and no tree
-/// is rebuilt.
+/// trailer sit. DecodeSnapshotOr decodes the records it lists; the
+/// corruption fault-injection harness (src/benchlib/snapshot_fault.h) aims
+/// mutations with it. Only framing is walked — CRCs are not verified and
+/// no entry is decoded.
 struct SnapshotLayout {
   struct Record {
     size_t begin;          ///< offset of the u32 payload-length field
@@ -130,12 +144,15 @@ struct SnapshotLayout {
   uint64_t entry_count;   ///< total entries declared by the header
   std::vector<Record> records;
   size_t trailer_begin;   ///< trailer is [trailer_begin, trailer_end)
-  size_t trailer_end;     ///< == total stream size
+  /// trailer_begin + 16. Bytes past it are trailing garbage, which
+  /// DecodeSnapshotOr rejects (kTrailerCorrupt) once the records checked.
+  size_t trailer_end;
 };
 
-/// Walks a v2 stream's framing. Fails with the usual snapshot error
-/// classes on unframeable input; v1 streams yield kUnsupportedVersion
-/// (v1 has no record framing to describe).
+/// Walks a v2 stream's framing: the header fields (CRC not verified), each
+/// record's length field, and the room left for the trailer. Fails with
+/// the usual snapshot error classes on unframeable input — kTruncated for
+/// a record or trailer the stream cannot hold.
 StatusOr<SnapshotLayout> DescribeSnapshot(const std::vector<uint8_t>& bytes);
 
 /// DescribeSnapshot on a file. Missing/unreadable files, directories and

@@ -13,6 +13,7 @@
 #include "common/bits.h"
 #include "common/fault.h"
 #include "phtree/cursor.h"
+#include "phtree/validate.h"
 
 namespace phtree {
 
@@ -521,23 +522,34 @@ Status PhTreeSharded::Save(const std::string& path,
 
 Status PhTreeSharded::Load(const std::string& path,
                            const LoadOptions& options) {
-  Expected<PhTree, SnapshotError> loaded = LoadPhTreeOr(path, options);
-  if (!loaded) {
-    return loaded.error();
-  }
-  if (loaded->dim() != dim_) {
-    return Status::Error(
-        StatusCode::kInvalidArgument,
-        "snapshot dimensionality " + std::to_string(loaded->dim()) +
-            " does not match sharded tree dimensionality " +
-            std::to_string(dim_));
-  }
+  PhTreeConfig cfg;
   std::vector<PhEntry> entries;
-  entries.reserve(loaded->size());
-  loaded->ForEach([&entries](const PhKey& key, uint64_t value) {
-    entries.push_back(PhEntry{key, value});
-  });
-  const PhTreeConfig cfg = loaded->config();
+  {  // The stream's bytes are freed before the shards are built.
+    StatusOr<std::vector<uint8_t>> bytes = ReadSnapshotFileOr(path);
+    if (!bytes) {
+      return bytes.error();
+    }
+    const Status decoded = DecodeSnapshotOr(
+        *bytes, options,
+        [&](const SnapshotHeader& h) {
+          if (h.dim != dim_) {
+            return Status::Error(
+                StatusCode::kInvalidArgument,
+                "snapshot dimensionality " + std::to_string(h.dim) +
+                    " does not match sharded tree dimensionality " +
+                    std::to_string(dim_));
+          }
+          cfg = h.config;
+          entries.reserve(h.capacity_hint);
+          return Status::Ok();
+        },
+        [&entries](const PhKey& key, uint64_t value) {
+          entries.push_back(PhEntry{key, value});
+        });
+    if (!decoded.ok()) {
+      return decoded;
+    }
+  }
   std::lock_guard reload(reload_mutex_);
   // Replacement shards are built while readers keep using the old ones;
   // the swap is the only all-shard exclusive section. A fresh table needs
@@ -550,6 +562,16 @@ Status PhTreeSharded::Load(const std::string& path,
     const bool only_if_empty = fresh.has_value();
     std::unique_ptr<Layout> next = BuildLayout(
         entries, cfg, fresh ? std::move(*fresh) : layout().table);
+    if (options.validate_structure) {
+      for (uint32_t s = 0; s < num_shards(); ++s) {
+        const std::string violation = ValidatePhTree(next->trees[s]);
+        if (!violation.empty()) {
+          return Status::Error(StatusCode::kStructureInvalid,
+                               "shard " + std::to_string(s) +
+                                   " fails validation: " + violation);
+        }
+      }
+    }
     if (Install(std::move(next), cfg, only_if_empty)) {
       return Status::Ok();
     }

@@ -238,18 +238,17 @@ class PhTreeSharded {
   /// with no lock held. Lock-free readers are unaffected throughout.
   Status Save(const std::string& path, const SaveOptions& options = {}) const;
 
-  /// Replaces the whole content from a v2 (or legacy v1) snapshot written
-  /// by Save() or by SavePhTreeOr on a plain tree: the stream is loaded
-  /// and verified (LoadPhTreeOr), its entries are re-partitioned (under a
-  /// table chosen from them if this tree is empty, see BulkLoad) and the
-  /// replacement shards built in parallel off-line, then all writer
+  /// Replaces the whole content from a v2 snapshot written by Save() or by
+  /// SavePhTreeOr on a plain tree: the stream is decoded once (by
+  /// DecodeSnapshotOr, like LoadPhTreeOr) into the entry list the
+  /// replacement shards are built from in parallel off-line (under a table
+  /// chosen from it if this tree is empty, see BulkLoad); then all writer
   /// mutexes are taken and the new trees swapped in with one atomic store
-  /// of the layout; the displaced trees are destroyed after a full epoch
-  /// grace period, so in-flight lock-free readers finish on their
-  /// snapshot (and Load must not be called while the calling thread holds
-  /// an epoch guard). The stream's dimensionality must match
-  /// (kInvalidArgument otherwise); the stream's stored config replaces
-  /// this tree's config, like LoadPhTreeOr.
+  /// of the layout. The displaced trees are destroyed after a full epoch
+  /// grace period, so in-flight lock-free readers finish on their snapshot
+  /// (and Load must not be called while the calling thread holds an epoch
+  /// guard). A failed Load changes nothing. The stream's dimensionality
+  /// must match (kInvalidArgument); its config replaces this tree's.
   Status Load(const std::string& path, const LoadOptions& options = {});
 
  private:

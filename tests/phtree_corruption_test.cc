@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchlib/snapshot_fault.h"
@@ -18,6 +19,7 @@
 #include "common/status.h"
 #include "phtree/phtree.h"
 #include "phtree/serialize.h"
+#include "phtree/sharded.h"
 #include "phtree/validate.h"
 
 namespace phtree {
@@ -46,6 +48,57 @@ std::vector<uint8_t> SmallSnapshot() {
   SaveOptions opts;
   opts.entries_per_record = 16;
   return SerializePhTree(tree, opts);
+}
+
+class TempFile {
+ public:
+  explicit TempFile(const std::string& name) : path_("/tmp/" + name) {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".tmp").c_str());
+  }
+  ~TempFile() {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".tmp").c_str());
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  std::fclose(f);
+}
+
+/// `bytes` with the entry count in the header (offset 26: magic 4 + len 4
+/// + dim 4 + repr 1 + hysteresis 8 + hc_max_dim 4 + store_values 1) and in
+/// the trailer both set to `count`, and every CRC repaired — a consistent
+/// lie only the count cross-check can catch.
+std::vector<uint8_t> ForgeEntryCount(std::vector<uint8_t> bytes,
+                                     uint64_t count) {
+  const auto layout = DescribeSnapshot(bytes);
+  if (!layout) {
+    ADD_FAILURE() << layout.error().ToString();
+    return bytes;
+  }
+  for (int i = 0; i < 8; ++i) {
+    bytes[26 + i] = static_cast<uint8_t>(count >> (8 * i));
+    bytes[layout->trailer_begin + i] = static_cast<uint8_t>(count >> (8 * i));
+  }
+  EXPECT_TRUE(RepairSnapshotChecksums(&bytes));
+  return bytes;
+}
+
+/// What PhTreeSharded::Load of `bytes` returns, through the file `name`.
+Status ShardedLoadStatus(const std::vector<uint8_t>& bytes, uint32_t dim,
+                         const std::string& name) {
+  TempFile file(name);
+  WriteFile(file.path(), bytes);
+  PhTreeSharded sharded(dim, 8);
+  return sharded.Load(file.path());
 }
 
 bool CodeIn(StatusCode code, std::initializer_list<StatusCode> allowed) {
@@ -228,24 +281,60 @@ TEST(CorruptionHarness, CountMismatchBehindValidChecksumsIsRejected) {
   // Regression for the declared-count cross-check: lie consistently about
   // the entry count in header AND trailer, then repair every CRC so the
   // stream sails through checksum verification — the loader must still
-  // reject it by comparing against the rebuilt tree size.
+  // reject it by comparing against the decoded entry count.
   const PhTree tree = MakeTree(100, 2, 3);
-  auto bytes = SerializePhTree(tree);
-  const auto layout = DescribeSnapshot(bytes);
-  ASSERT_TRUE(layout.has_value());
-  // Header entry count lives at offset 26 (magic 4 + len 4 + dim 4 + repr 1
-  // + hysteresis 8 + hc_max_dim 4 + store_values 1); trailer count at
-  // trailer_begin. Bump both from 100 to 101.
+  const auto bytes = SerializePhTree(tree);
   ASSERT_EQ(bytes[26], 100);
-  bytes[26] = 101;
-  ASSERT_EQ(bytes[layout->trailer_begin], 100);
-  bytes[layout->trailer_begin] = 101;
-  ASSERT_TRUE(RepairSnapshotChecksums(&bytes));
-  const auto result = DeserializePhTreeOr(bytes);
+  const auto forged = ForgeEntryCount(bytes, 101);
+  const auto result = DeserializePhTreeOr(forged);
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code(), StatusCode::kCountMismatch)
       << result.error().ToString();
   EXPECT_NE(result.error().ToString().find("101"), std::string::npos);
+  EXPECT_EQ(ShardedLoadStatus(forged, 2, "phtree_count_lie_test.bin").code(),
+            StatusCode::kCountMismatch);
+
+  // A count of 2^40: both loaders reserve only what the stream's size can
+  // hold (reserving 2^40 nodes or entries would throw), then reject it.
+  const auto huge = ForgeEntryCount(bytes, uint64_t{1} << 40);
+  const auto huge_result = DeserializePhTreeOr(huge);
+  ASSERT_FALSE(huge_result.has_value());
+  EXPECT_EQ(huge_result.error().code(), StatusCode::kCountMismatch)
+      << huge_result.error().ToString();
+  const Status huge_sharded =
+      ShardedLoadStatus(huge, 2, "phtree_count_lie_test.bin");
+  EXPECT_EQ(huge_sharded.code(), StatusCode::kCountMismatch)
+      << huge_sharded.ToString();
+}
+
+TEST(CorruptionHarness, OutOfOrderKeysBehindValidChecksumsAreRejected) {
+  // {1,1} precedes {2,2} in z-order; each delta encodes as [len 1][byte].
+  // Rewriting the first entry to {2,2} makes the second decode to
+  // {2^3, 2^3} = {1,1}: a CRC-valid stream whose keys go backwards.
+  PhTree tree(2);
+  ASSERT_TRUE(tree.Insert(PhKey{1, 1}, 10));
+  ASSERT_TRUE(tree.Insert(PhKey{2, 2}, 20));
+  auto bytes = SerializePhTree(tree);
+  const auto layout = DescribeSnapshot(bytes);
+  ASSERT_TRUE(layout.has_value());
+  const size_t first = layout->records[0].payload_begin + 4;  // past count
+  ASSERT_EQ(std::vector<uint8_t>(bytes.begin() + first,
+                                 bytes.begin() + first + 4),
+            (std::vector<uint8_t>{1, 1, 1, 1}));
+  bytes[first + 1] = 2;
+  bytes[first + 3] = 2;
+  ASSERT_TRUE(RepairSnapshotChecksums(&bytes));
+  const size_t second = first + 4 + 8;  // two deltas, then the value
+
+  const auto result = DeserializePhTreeOr(bytes);
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error().code(), StatusCode::kRecordCorrupt)
+      << result.error().ToString();
+  EXPECT_EQ(result.error().offset(), second) << result.error().ToString();
+  const Status sharded =
+      ShardedLoadStatus(bytes, 2, "phtree_out_of_order_test.bin");
+  EXPECT_EQ(sharded.code(), StatusCode::kRecordCorrupt) << sharded.ToString();
+  EXPECT_EQ(sharded.offset(), second) << sharded.ToString();
 }
 
 TEST(CorruptionHarness, ChecksumsOffStillCatchesStructuralLies) {
@@ -296,24 +385,61 @@ TEST(CorruptionHarness, ErrorsCarryByteOffsets) {
   EXPECT_NE(err.ToString().find("RECORD_CORRUPT at byte"), std::string::npos);
 }
 
+TEST(CorruptionHarness, ShardedLoadRejectsWhatThePlainLoaderRejects) {
+  const PhTree tree = MakeTree(1500, 3, 7);
+  const auto bytes = SerializePhTree(tree);
+  const auto layout = DescribeSnapshot(bytes);
+  ASSERT_TRUE(layout.has_value());
+  ASSERT_EQ(layout->records.size(), 3u);
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> cases;
+  for (const auto& rec : layout->records) {
+    cases.emplace_back("cut at " + std::to_string(rec.begin),
+                       TruncateSnapshot(bytes, rec.begin));
+  }
+  cases.emplace_back("cut at the trailer",
+                     TruncateSnapshot(bytes, layout->trailer_begin));
+  cases.emplace_back("header bit", FlipBit(bytes, 13 * 8));
+  const size_t payload_byte = layout->records[1].payload_begin + 9;
+  cases.emplace_back("payload bit", FlipBit(bytes, payload_byte * 8));
+  cases.emplace_back("trailer bit",
+                     FlipBit(bytes, (layout->trailer_begin + 13) * 8));
+  cases.emplace_back("record swap", SwapRecords(bytes, *layout, 0, 2));
+  cases.emplace_back("count lie", ForgeEntryCount(bytes, 1501));
+
+  // The sharded tree holds other content, which a failed Load must keep.
+  PhTreeSharded sharded(3, 8);
+  MakeTree(300, 3, 8).ForEach([&](const PhKey& key, uint64_t value) {
+    ASSERT_TRUE(sharded.Insert(key, value));
+  });
+  std::vector<PhEntry> before;
+  sharded.ForEach([&](const PhKey& key, uint64_t value) {
+    before.push_back(PhEntry{key, value});
+  });
+
+  TempFile file("phtree_sharded_rejects_test.bin");
+  for (const auto& [name, mutated] : cases) {
+    WriteFile(file.path(), mutated);
+    const auto plain = LoadPhTreeOr(file.path());
+    ASSERT_FALSE(plain.has_value()) << name;
+    const Status st = sharded.Load(file.path());
+    EXPECT_EQ(st.code(), plain.error().code())
+        << name << ": sharded " << st.ToString() << ", plain "
+        << plain.error().ToString();
+    EXPECT_EQ(st.offset(), plain.error().offset()) << name;
+    EXPECT_EQ(sharded.size(), before.size()) << name;
+    size_t i = 0;
+    sharded.ForEach([&](const PhKey& key, uint64_t value) {
+      ASSERT_LT(i, before.size()) << name;
+      EXPECT_EQ(key, before[i].key) << name;
+      EXPECT_EQ(value, before[i].value) << name;
+      ++i;
+    });
+    EXPECT_EQ(i, before.size()) << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Atomic durable saves and the I/O-vs-format error distinction.
-
-class TempFile {
- public:
-  explicit TempFile(const std::string& name) : path_("/tmp/" + name) {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".tmp").c_str());
-  }
-  ~TempFile() {
-    std::remove(path_.c_str());
-    std::remove((path_ + ".tmp").c_str());
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 TEST(AtomicSave, CrashBetweenWriteAndRenameLeavesOldSnapshotLoadable) {
   TempFile file("phtree_atomic_save_test.bin");

@@ -117,7 +117,7 @@ TEST(NodeSpace, SmallestRepresentationWinsExactly) {
   PhKey key{0, 0};
   // 1 entry: LHC (1 payload word + 1 flag + 2 addr + 6 postfix bits) is far
   // below HC (4 slots x (64+2+6) bits) -> LHC.
-  node.InsertPostfix(0, key, 0, cfg);
+  ASSERT_TRUE(node.TryInsertPostfix(0, key, 0, cfg));
   EXPECT_FALSE(node.is_hc());
   EXPECT_FALSE(node.is_bhc());
   EXPECT_LT(node.LhcBits(), node.HcBits());
@@ -126,11 +126,11 @@ TEST(NodeSpace, SmallestRepresentationWinsExactly) {
   // (BHC) drops the empty payload slots and the sub bitmap on top of that,
   // so a full sub-free node lands in BHC, strictly below both.
   key = PhKey{1, 0};
-  node.InsertPostfix(2, key, 0, cfg);
+  ASSERT_TRUE(node.TryInsertPostfix(2, key, 0, cfg));
   key = PhKey{0, 1};
-  node.InsertPostfix(1, key, 0, cfg);
+  ASSERT_TRUE(node.TryInsertPostfix(1, key, 0, cfg));
   key = PhKey{1, 1};
-  node.InsertPostfix(3, key, 0, cfg);
+  ASSERT_TRUE(node.TryInsertPostfix(3, key, 0, cfg));
   EXPECT_TRUE(node.is_bhc());
   EXPECT_LT(node.HcBits(), node.LhcBits());
   EXPECT_LT(node.BhcBits(), node.HcBits());
@@ -206,7 +206,7 @@ TEST(NodeRepresentation, BhcPromotionAndDemotionAtSwitchBoundary) {
   const uint64_t addrs[4] = {0, 2, 1, 3};
   const PhKey keys[4] = {{0, 0}, {1, 0}, {0, 1}, {1, 1}};
   for (int i = 0; i < 4; ++i) {
-    node.InsertPostfix(addrs[i], keys[i], 0, cfg);
+    ASSERT_TRUE(node.TryInsertPostfix(addrs[i], keys[i], 0, cfg));
     const uint64_t best = std::min(
         {node.LhcBits(), node.BhcBits(), node.HcBits()});
     EXPECT_EQ(node.is_bhc(), node.BhcBits() < node.LhcBits() &&
@@ -217,7 +217,7 @@ TEST(NodeRepresentation, BhcPromotionAndDemotionAtSwitchBoundary) {
   EXPECT_TRUE(node.is_bhc());
   // Demote by deletion: at n=1 LHC is strictly smaller again.
   for (int i = 3; i >= 1; --i) {
-    node.RemoveEntry(addrs[i], cfg);
+    ASSERT_TRUE(node.TryRemoveEntry(addrs[i], cfg));
   }
   EXPECT_EQ(node.num_entries(), 1u);
   EXPECT_FALSE(node.is_bhc());
@@ -236,15 +236,15 @@ TEST(NodeRepresentation, HysteresisDampsOscillationAtBoundary) {
   Node steady(2, 0, 3);
   const PhKey k0{0, 0};
   const PhKey k1{1, 1};
-  flappy.InsertPostfix(0, k0, 0, strict);
-  steady.InsertPostfix(0, k0, 0, damped);
+  ASSERT_TRUE(flappy.TryInsertPostfix(0, k0, 0, strict));
+  ASSERT_TRUE(steady.TryInsertPostfix(0, k0, 0, damped));
   for (int round = 0; round < 8; ++round) {
-    flappy.InsertPostfix(3, k1, 0, strict);
-    steady.InsertPostfix(3, k1, 0, damped);
+    ASSERT_TRUE(flappy.TryInsertPostfix(3, k1, 0, strict));
+    ASSERT_TRUE(steady.TryInsertPostfix(3, k1, 0, damped));
     EXPECT_TRUE(flappy.is_bhc());   // strict: promoted every round
     EXPECT_FALSE(steady.is_bhc());  // damped: stays put
-    flappy.RemoveEntry(3, strict);
-    steady.RemoveEntry(3, damped);
+    ASSERT_TRUE(flappy.TryRemoveEntry(3, strict));
+    ASSERT_TRUE(steady.TryRemoveEntry(3, damped));
     EXPECT_FALSE(flappy.is_bhc());  // strict: demoted every round
     EXPECT_FALSE(steady.is_bhc());
   }
@@ -259,15 +259,16 @@ TEST(NodeRepresentation, IllegalBhcConvertsEvenInsideHysteresisBand) {
   const PhKey keys[3] = {{0, 0}, {1, 0}, {0, 1}};
   const uint64_t addrs[3] = {0, 2, 1};
   for (int i = 0; i < 3; ++i) {
-    node.InsertPostfix(addrs[i], keys[i], 0, damped);
+    ASSERT_TRUE(node.TryInsertPostfix(addrs[i], keys[i], 0, damped));
   }
   // Force the packed leaf (legal: sub-free), then attach a child.
   ASSERT_EQ(node.num_subs(), 0u);
   PhTreeConfig force_bhc = damped;
   force_bhc.repr = NodeRepr::kBhcOnly;
-  node.RemoveEntry(addrs[2], force_bhc);  // any mutation re-evaluates
+  // Any mutation re-evaluates the representation.
+  ASSERT_TRUE(node.TryRemoveEntry(addrs[2], force_bhc));
   ASSERT_TRUE(node.is_bhc());
-  node.InsertSub(3, NodeHandle{7}, damped);
+  ASSERT_TRUE(node.TryInsertSub(3, NodeHandle{7}, damped));
   EXPECT_FALSE(node.is_bhc());
   EXPECT_EQ(node.num_subs(), 1u);
   ASSERT_NE(node.FindOrdinal(3), Node::kNoOrdinal);
@@ -337,7 +338,7 @@ TEST(NodeWhitebox, PostfixDivergenceFindsHighestBit) {
   PhTreeConfig cfg;
   Node node(2, 0, 33);
   PhKey key{0x1ABCDEF55ULL & LowMask(33), 0x012345678ULL & LowMask(33)};
-  node.InsertPostfix(HcAddressAt(key, 33), key, 7, cfg);
+  ASSERT_TRUE(node.TryInsertPostfix(HcAddressAt(key, 33), key, 7, cfg));
   const uint64_t ord = node.FindOrdinal(HcAddressAt(key, 33));
   ASSERT_NE(ord, Node::kNoOrdinal);
   EXPECT_EQ(node.PostfixDivergence(ord, key), -1);

@@ -198,6 +198,14 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
   bad_version[3] = '9';
   EXPECT_EQ(DeserializePhTreeOr(bad_version).error().code(),
             StatusCode::kUnsupportedVersion);
+  // The retired v1 format is just another unknown version.
+  auto v1_magic = bytes;
+  v1_magic[3] = '1';
+  const auto v1 = DeserializePhTreeOr(v1_magic);
+  ASSERT_FALSE(v1.has_value());
+  EXPECT_EQ(v1.error().code(), StatusCode::kUnsupportedVersion)
+      << v1.error().ToString();
+  EXPECT_EQ(v1.error().offset(), 3u);
   // Trailing garbage.
   auto long_stream = bytes;
   long_stream.push_back(0);
@@ -211,65 +219,6 @@ TEST(Serialize, RejectsCorruptStreamsWithTypedErrors) {
   EXPECT_FALSE(DeserializePhTreeOr(bad_dim).has_value());
   EXPECT_EQ(DeserializePhTreeOr(bad_dim).error().code(),
             StatusCode::kHeaderCorrupt);
-}
-
-TEST(Serialize, LegacyV1StreamsLoadWithWarning) {
-  Rng rng(22);
-  PhTree tree(2);
-  for (int i = 0; i < 1000; ++i) {
-    tree.InsertOrAssign(PhKey{rng.NextU64(), rng.NextU64() & 0xFFFF}, i);
-  }
-  const auto v1 = SerializePhTreeV1(tree);
-  // The v2 writer produces a different (checksummed) stream.
-  EXPECT_NE(v1, SerializePhTree(tree));
-
-  Status warning;
-  LoadOptions opts;
-  opts.legacy_warning = &warning;
-  opts.validate_structure = true;
-  auto back = DeserializePhTreeOr(v1, opts);
-  ASSERT_TRUE(back.has_value()) << back.error().ToString();
-  EXPECT_EQ(back->size(), tree.size());
-  EXPECT_EQ(ValidatePhTree(*back), "");
-  EXPECT_EQ(warning.code(), StatusCode::kLegacyUnchecksummed);
-  EXPECT_NE(warning.message().find("re-save"), std::string::npos);
-  tree.ForEach([&](const PhKey& k, uint64_t v) {
-    const auto found = back->Find(k);
-    ASSERT_TRUE(found.has_value());
-    EXPECT_EQ(*found, v);
-  });
-
-  // Default options accept v1 too, with no warning out-parameter set.
-  EXPECT_TRUE(DeserializePhTreeOr(v1).has_value());
-
-  // Strict mode rejects v1 outright.
-  LoadOptions strict;
-  strict.accept_legacy_v1 = false;
-  const auto rejected = DeserializePhTreeOr(v1, strict);
-  ASSERT_FALSE(rejected.has_value());
-  EXPECT_EQ(rejected.error().code(), StatusCode::kUnsupportedVersion);
-}
-
-TEST(Serialize, LegacyV1CorruptionGetsTypedErrors) {
-  PhTree tree(2);
-  tree.Insert(PhKey{1, 2}, 3);
-  tree.Insert(PhKey{9, 9}, 4);
-  const auto v1 = SerializePhTreeV1(tree);
-  // Forged entry count at byte offset 22 (the v1 header's u64 count).
-  auto forged = v1;
-  forged[22] = 200;
-  const auto too_many = DeserializePhTreeOr(forged);
-  ASSERT_FALSE(too_many.has_value());
-  EXPECT_EQ(too_many.error().code(), StatusCode::kTruncated);
-  forged[22] = 1;
-  const auto too_few = DeserializePhTreeOr(forged);
-  ASSERT_FALSE(too_few.has_value());
-  EXPECT_EQ(too_few.error().code(), StatusCode::kTrailerCorrupt);
-  // Truncation inside an entry.
-  std::vector<uint8_t> trunc(v1.begin(), v1.end() - 3);
-  const auto cut = DeserializePhTreeOr(trunc);
-  ASSERT_FALSE(cut.has_value());
-  EXPECT_EQ(cut.error().code(), StatusCode::kTruncated);
 }
 
 TEST(Serialize, FileRoundTrip) {
